@@ -33,7 +33,7 @@ using namespace hadfl;
 namespace {
 
 struct CodecVariant {
-  core::SyncCompression codec;
+  comm::SyncCodec codec;
   double ratio;
   const char* label;
 };
@@ -84,11 +84,11 @@ int run_sweep(const std::string& json_out) {
   TextTable table({"codec", "chunks", "best acc", "time to best [s]",
                    "volume [MB]", "sync B/round"});
   const CodecVariant codecs[] = {
-      {core::SyncCompression::kNone, 0.0, "none (float32)"},
-      {core::SyncCompression::kInt8, 0.0, "int8 quantization"},
-      {core::SyncCompression::kTopK, 0.10, "top-k delta, 10%"},
-      {core::SyncCompression::kTopK, 0.02, "top-k delta, 2%"},
-      {core::SyncCompression::kTopK, 0.01, "top-k delta, 1%"},
+      {comm::SyncCodec::kNone, 0.0, "none (float32)"},
+      {comm::SyncCodec::kInt8, 0.0, "int8 quantization"},
+      {comm::SyncCodec::kTopK, 0.10, "top-k delta, 10%"},
+      {comm::SyncCodec::kTopK, 0.02, "top-k delta, 2%"},
+      {comm::SyncCodec::kTopK, 0.01, "top-k delta, 1%"},
   };
   std::vector<SweepRow> rows;
   for (const auto& c : codecs) {
@@ -201,8 +201,8 @@ int smoke_codec_identity_and_floors() {
   }
 
   const CodecVariant variants[] = {
-      {core::SyncCompression::kInt8, 0.0, "int8"},
-      {core::SyncCompression::kTopK, 0.01, "topk-1%"},
+      {comm::SyncCodec::kInt8, 0.0, "int8"},
+      {comm::SyncCodec::kTopK, 0.01, "topk-1%"},
   };
   const double floors[] = {3.0, 10.0};
   for (std::size_t v = 0; v < 2; ++v) {

@@ -1,5 +1,5 @@
 // Micro-benchmarks for the data pipeline: synthetic generation,
-// partitioning, batch gathering, augmentation, and the compression codecs.
+// partitioning, batch gathering, augmentation, and int8 quantization.
 #include <benchmark/benchmark.h>
 
 #include "comm/compression.hpp"
@@ -93,17 +93,6 @@ void BM_QuantizeInt8(benchmark::State& state) {
                           state.range(0) * 4);
 }
 BENCHMARK(BM_QuantizeInt8)->Arg(1 << 12)->Arg(1 << 18);
-
-void BM_TopKSparsify(benchmark::State& state) {
-  std::vector<float> x(static_cast<std::size_t>(state.range(0)));
-  Rng rng(6);
-  for (auto& v : x) v = static_cast<float>(rng.normal());
-  const std::size_t k = x.size() / 20;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(comm::sparsify_top_k(x, k));
-  }
-}
-BENCHMARK(BM_TopKSparsify)->Arg(1 << 12)->Arg(1 << 18);
 
 }  // namespace
 

@@ -1,11 +1,31 @@
 #include "comm/broadcast.hpp"
 
 #include <algorithm>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
 
 namespace hadfl::comm {
+
+namespace {
+
+/// One summary line per broadcast call (not one per receiver, which grows
+/// with K at fleet scale); the full list stays in BroadcastResult.
+void warn_unreachable(const std::vector<DeviceId>& unreachable) {
+  if (unreachable.empty()) return;
+  constexpr std::size_t kShown = 4;
+  std::ostringstream ids;
+  for (std::size_t i = 0; i < std::min(kShown, unreachable.size()); ++i) {
+    ids << (i == 0 ? "" : ", ") << unreachable[i];
+  }
+  if (unreachable.size() > kShown) ids << ", ...";
+  HADFL_WARN("broadcast: " << unreachable.size()
+                           << " device(s) unreachable, skipped (" << ids.str()
+                           << ")");
+}
+
+}  // namespace
 
 BroadcastResult broadcast_nonblocking(SimTransport& transport, DeviceId src,
                                       const std::vector<DeviceId>& dsts,
@@ -18,10 +38,10 @@ BroadcastResult broadcast_nonblocking(SimTransport& transport, DeviceId src,
       result.delivered.push_back(dst);
       result.last_arrival = std::max(result.last_arrival, arrival);
     } catch (const CommError&) {
-      HADFL_WARN("broadcast: device " << dst << " unreachable, skipping");
       result.unreachable.push_back(dst);
     }
   }
+  warn_unreachable(result.unreachable);
   return result;
 }
 
@@ -30,9 +50,7 @@ BroadcastResult broadcast_nonblocking(SimTransport& transport, DeviceId src,
                                       std::size_t bytes, std::size_t threads) {
   SimTransport::FanoutResult fan =
       transport.send_fanout(src, dsts, bytes, threads);
-  for (const DeviceId dst : fan.unreachable) {
-    HADFL_WARN("broadcast: device " << dst << " unreachable, skipping");
-  }
+  warn_unreachable(fan.unreachable);
   BroadcastResult result;
   result.delivered = std::move(fan.delivered);
   result.unreachable = std::move(fan.unreachable);

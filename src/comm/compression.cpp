@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-
-#include "common/error.hpp"
 
 namespace hadfl::comm {
 
@@ -31,67 +28,6 @@ std::vector<float> dequantize_int8(const QuantizedState& q) {
     out[i] = static_cast<float>(q.values[i]) * q.scale;
   }
   return out;
-}
-
-SparseState sparsify_top_k(std::span<const float> state, std::size_t k) {
-  SparseState s;
-  s.dense_size = state.size();
-  k = std::min(k, state.size());
-  if (k == 0) return s;
-
-  std::vector<std::uint32_t> order(state.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::nth_element(order.begin(),
-                   order.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                   order.end(), [&](std::uint32_t a, std::uint32_t b) {
-                     return std::fabs(state[a]) > std::fabs(state[b]);
-                   });
-  order.resize(k);
-  std::sort(order.begin(), order.end());  // deterministic layout
-  s.indices = order;
-  s.values.reserve(k);
-  for (std::uint32_t i : order) s.values.push_back(state[i]);
-  return s;
-}
-
-std::vector<float> densify(const SparseState& s) {
-  HADFL_CHECK_ARG(s.indices.size() == s.values.size(),
-                  "sparse state index/value count mismatch");
-  std::vector<float> out(s.dense_size, 0.0f);
-  for (std::size_t i = 0; i < s.indices.size(); ++i) {
-    HADFL_CHECK_ARG(s.indices[i] < s.dense_size,
-                    "sparse index out of range");
-    out[s.indices[i]] = s.values[i];
-  }
-  return out;
-}
-
-std::size_t apply_int8_roundtrip(std::span<float> state) {
-  const QuantizedState q = quantize_int8(state);
-  const std::vector<float> back = dequantize_int8(q);
-  std::copy(back.begin(), back.end(), state.begin());
-  return q.wire_bytes();
-}
-
-std::size_t apply_top_k_roundtrip(std::span<float> state,
-                                  std::span<const float> reference,
-                                  double keep_ratio) {
-  HADFL_CHECK_ARG(state.size() == reference.size(),
-                  "top-k reference size mismatch");
-  HADFL_CHECK_ARG(keep_ratio > 0.0 && keep_ratio <= 1.0,
-                  "keep_ratio must be in (0, 1]");
-  std::vector<float> delta(state.size());
-  for (std::size_t i = 0; i < state.size(); ++i) {
-    delta[i] = state[i] - reference[i];
-  }
-  const auto k = static_cast<std::size_t>(
-      std::max(1.0, std::ceil(keep_ratio * static_cast<double>(delta.size()))));
-  const SparseState s = sparsify_top_k(delta, k);
-  const std::vector<float> kept = densify(s);
-  for (std::size_t i = 0; i < state.size(); ++i) {
-    state[i] = reference[i] + kept[i];
-  }
-  return s.wire_bytes();
 }
 
 }  // namespace hadfl::comm

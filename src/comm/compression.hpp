@@ -1,15 +1,7 @@
-// Lossy model-update compression codecs — the standard communication-
-// reduction tools of the FL literature, provided as an optional layer under
-// HADFL's synchronization (the paper reduces *frequency* and *topology* of
-// communication; codecs reduce the *bytes per message* and compose with
-// both):
-//
-//  * Uniform int8 quantization: each float becomes one byte plus a shared
-//    per-message scale — 4x smaller, bounded elementwise error.
-//  * Top-k sparsification: only the k largest-magnitude entries travel
-//    (index + value pairs); the receiver treats missing entries as zero.
-//    Standard practice sends the *delta* from a shared reference so zeros
-//    are meaningful; helpers for that are included.
+// Reference int8 quantizer: each float becomes one byte plus a shared
+// per-message scale (4x smaller, bounded elementwise error). The sync path
+// encodes through comm/delta_codec.hpp, whose int8 chunk codec is pinned
+// bit-identical to this one (tests/test_compression.cpp).
 #pragma once
 
 #include <cstdint>
@@ -34,35 +26,5 @@ QuantizedState quantize_int8(std::span<const float> state);
 
 /// Reconstructs floats from a quantized message.
 std::vector<float> dequantize_int8(const QuantizedState& q);
-
-/// A sparse message: (index, value) pairs of the k largest-magnitude
-/// entries, plus the dense length for reconstruction.
-struct SparseState {
-  std::vector<std::uint32_t> indices;
-  std::vector<float> values;
-  std::size_t dense_size = 0;
-
-  std::size_t wire_bytes() const {
-    return indices.size() * sizeof(std::uint32_t) +
-           values.size() * sizeof(float) + sizeof(std::uint64_t);
-  }
-};
-
-/// Keeps the k largest-magnitude entries (k is clamped to the input size).
-SparseState sparsify_top_k(std::span<const float> state, std::size_t k);
-
-/// Densifies; missing entries are zero.
-std::vector<float> densify(const SparseState& s);
-
-/// Round-trips `state` through int8 quantization in place and reports the
-/// wire size — the one-call form used by a training loop that wants the
-/// receiver to see exactly what the codec delivers.
-std::size_t apply_int8_roundtrip(std::span<float> state);
-
-/// Round-trips the *delta from `reference`* through top-k: the result is
-/// reference + top_k(state - reference). Returns the wire size.
-std::size_t apply_top_k_roundtrip(std::span<float> state,
-                                  std::span<const float> reference,
-                                  double keep_ratio);
 
 }  // namespace hadfl::comm

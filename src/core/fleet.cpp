@@ -17,7 +17,7 @@
 #include "common/parallel.hpp"
 #include "core/coordinator.hpp"
 #include "core/fleet_selection.hpp"
-#include "core/round_logic.hpp"
+#include "core/round_driver.hpp"
 #include "fl/evaluate.hpp"
 #include "fl/local_trainer.hpp"
 #include "nn/cow_store.hpp"
@@ -91,9 +91,6 @@ class FleetEngine {
   // ---- state plumbing ----
   std::span<const float> state_of(sim::DeviceId d) {
     return store_->view(state_slab_[d]);
-  }
-  std::span<const float> sync_of(sim::DeviceId d) {
-    return store_->view(sync_slab_[d]);
   }
   /// Rebinds a device's slab handle: takes over one reference on `slab`
   /// (callers retain before passing) and drops the old one.
@@ -204,7 +201,6 @@ class FleetEngine {
   std::vector<TrainerSlot> slots_;
   nn::StateAccumulator mean_acc_;
   WeightedRingFold ring_fold_;
-  std::vector<float> sync_scratch_;
 
   TrainingStrategy strategy_;
   std::vector<double> prev_actual_;  ///< full-K kLastValue history
@@ -546,21 +542,10 @@ bool FleetEngine::aggregate_group(
       const std::vector<double> weights =
           ring_weights(ctx_.partition, ring, config_.weight_by_samples);
       ring_fold_.reset(state_floats_);
-      std::size_t codec_bytes = 0;
-      std::size_t dense_bytes = 0;
       for (std::size_t m = 0; m < ring.size(); ++m) {
-        const sim::DeviceId id = ring[m];
-        const std::span<const float> view = state_of(id);
-        sync_scratch_.assign(view.begin(), view.end());
-        dense_bytes = sync_scratch_.size() * sizeof(float);
-        codec_bytes = std::max(
-            codec_bytes,
-            compress_roundtrip(sync_scratch_, sync_of(id), config_));
-        ring_fold_.add(0, sync_scratch_, weights[m]);
+        ring_fold_.add(0, state_of(ring[m]), weights[m]);
       }
-      comm::simulate_ring_allreduce(
-          transport_, ring,
-          effective_wire_bytes(wire_bytes_, codec_bytes, dense_bytes));
+      comm::simulate_ring_allreduce(transport_, ring, wire_bytes_);
       aggregate.resize(ring_fold_.size());
       ring_fold_.write(0, aggregate);
       break;
@@ -579,12 +564,10 @@ bool FleetEngine::aggregate_group(
   selected_this_round.insert(selected_this_round.end(), ring.begin(),
                              ring.end());
 
-  double version_mean = 0.0;
-  for (const sim::DeviceId id : ring) version_mean += version_[id];
-  version_mean /= static_cast<double>(ring.size());
+  const double version_mean = ring_version_mean(version_, ring);
 
-  // apply_aggregate, dedup'd: every ring member's state AND last-sync
-  // reference become the same bits, so all of them share one slab.
+  // The commit, dedup'd: every ring member's state AND last-sync reference
+  // become the same bits, so all of them share one slab.
   const SlabId agg_slab = store_->create(aggregate);
   for (const sim::DeviceId id : ring) {
     store_->retain(agg_slab);
@@ -617,14 +600,8 @@ bool FleetEngine::aggregate_group(
   if (!others.empty()) {
     const sim::DeviceId src = ring[static_cast<std::size_t>(rng_.uniform_int(
         0, static_cast<std::int64_t>(ring.size()) - 1))];
-    sync_scratch_.assign(aggregate.begin(), aggregate.end());
-    const std::size_t codec_bytes =
-        compress_roundtrip(sync_scratch_, sync_of(others.front()), config_);
     const comm::BroadcastResult bc = comm::broadcast_nonblocking(
-        transport_, src, others,
-        effective_wire_bytes(wire_bytes_, codec_bytes,
-                             aggregate.size() * sizeof(float)),
-        threads_);
+        transport_, src, others, wire_bytes_, threads_);
     broadcast_integrate(bc.delivered, aggregate, version_mean);
   }
 
@@ -668,13 +645,11 @@ void FleetEngine::broadcast_integrate(
   }
   std::vector<float> mixed;
   for (const auto& [key, members] : classes) {
-    sync_scratch_.assign(aggregate.begin(), aggregate.end());
-    compress_roundtrip(sync_scratch_, store_->view(key.second), config_);
     const std::span<const float> state = store_->view(key.first);
     mixed.assign(state.begin(), state.end());
-    nn::mix_into(mixed, sync_scratch_, config_.broadcast_mix_weight);
+    nn::mix_into(mixed, aggregate, config_.broadcast_mix_weight);
     const SlabId new_state = store_->create(mixed);
-    const SlabId new_sync = store_->create(sync_scratch_);
+    const SlabId new_sync = store_->create(aggregate);
     for (const sim::DeviceId id : members) {
       store_->retain(new_state);
       rebind_state(id, new_state);
@@ -741,14 +716,8 @@ void FleetEngine::inter_group_sync(const DeviceGroups& groups,
 }
 
 FleetResult FleetEngine::run() {
-  HADFL_CHECK_ARG(ctx_.partition.size() == k_,
-                  "partition count != device count");
-  HADFL_CHECK_ARG(config_.alpha > 0.0 && config_.alpha < 1.0,
-                  "alpha must be in (0, 1)");
-  HADFL_CHECK_ARG(config_.broadcast_mix_weight >= 0.0 &&
-                      config_.broadcast_mix_weight <= 1.0,
-                  "broadcast mix weight must be in [0, 1]");
-  HADFL_CHECK_ARG(config_.compression == SyncCompression::kNone,
+  check_hadfl_args(ctx_, config_);
+  HADFL_CHECK_ARG(config_.compression == comm::SyncCodec::kNone,
                   "fleet engine supports the uncompressed sync codec only "
                   "(the compressed-delta path needs per-device "
                   "error-feedback residuals, which would defeat the "

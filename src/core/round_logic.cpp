@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "comm/compression.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/math_utils.hpp"
@@ -56,21 +55,6 @@ DeviceSetup init_devices(const fl::SchemeContext& ctx,
     setup.compute_powers[d] = ctx.cluster.compute_power(d);
   }
   return setup;
-}
-
-std::size_t compress_roundtrip(std::span<float> state,
-                               std::span<const float> reference,
-                               const HadflConfig& config) {
-  switch (config.compression) {
-    case SyncCompression::kNone:
-      return state.size() * sizeof(float);
-    case SyncCompression::kInt8:
-      return comm::apply_int8_roundtrip(state);
-    case SyncCompression::kTopK:
-      return comm::apply_top_k_roundtrip(state, reference,
-                                         config.top_k_ratio);
-  }
-  return state.size() * sizeof(float);
 }
 
 std::size_t effective_wire_bytes(std::size_t wire_bytes,
@@ -174,22 +158,11 @@ void WeightedRingFold::write(std::size_t offset, std::span<float> dst) const {
             std::span<const double>(acc_).subspan(offset, dst.size()));
 }
 
-double ring_version_mean(const std::vector<DeviceState>& devices,
+double ring_version_mean(const std::vector<double>& versions,
                          const std::vector<sim::DeviceId>& ring) {
   double version_mean = 0.0;
-  for (sim::DeviceId id : ring) version_mean += devices[id].version;
+  for (sim::DeviceId id : ring) version_mean += versions[id];
   return version_mean / static_cast<double>(ring.size());
-}
-
-void apply_aggregate(std::vector<DeviceState>& devices,
-                     const std::vector<sim::DeviceId>& ring,
-                     const std::vector<float>& aggregate,
-                     double version_mean) {
-  for (sim::DeviceId id : ring) {
-    nn::load_state(*devices[id].model, aggregate);
-    devices[id].version = version_mean;
-    devices[id].last_sync_state = aggregate;
-  }
 }
 
 }  // namespace hadfl::core

@@ -1,20 +1,20 @@
-// Backend-agnostic pieces of the HADFL round (paper Alg. 1 + §III).
+// The arithmetic of one HADFL round (paper Alg. 1 + §III), shared by every
+// backend.
 //
-// Two execution backends share this logic:
-//  * the virtual-clock simulator (core/trainer.cpp, comm::SimTransport) —
-//    deterministic evaluation on per-device Lamport clocks;
-//  * the real-time concurrent runtime (src/rt) — one worker thread per
-//    device, mailbox message passing, wall-clock timing.
-//
-// Everything that decides *what* the algorithm computes lives here —
-// device-state initialization (including the exact RNG split sequence, so
-// both backends derive identical streams from one seed), version
-// prediction, probability-based selection + ring generation, the ring
-// aggregation rule, and broadcast integration. Everything that decides
-// *when/where* it executes (clock advancement vs. real threads and
-// transports) stays in the backends. A seeded run with timing noise
-// disabled therefore produces bit-identical aggregates on both backends
-// (tests/test_rt.cpp pins this).
+// Three layers keep seeded runs bit-identical across the simulator, the rt
+// thread runtime, the net process runtime and the fleet engine:
+//  * this file — *what* is computed: device-state initialization (with the
+//    exact RNG split sequence, so every backend derives identical streams
+//    from one seed), version prediction, probability selection + ring
+//    generation, the ring aggregation rule and its weights;
+//  * core/round_driver.hpp — *which* decision is taken each round: the one
+//    Alg. 1 loop (strategy, controller plan, prediction, selection, the
+//    broadcast source, leaders, convergence, model manager);
+//  * the executors — *how* a decision is carried out: virtual clocks and
+//    comm::SimTransport (core/trainer.cpp), or commands to worker threads
+//    and node processes (rt/coordinator.cpp).
+// The fleet engine (core/fleet.cpp) keeps its own loop for its O(K) paths
+// and calls these helpers directly (tests/test_fleet.cpp pins it).
 #pragma once
 
 #include <memory>
@@ -77,13 +77,6 @@ struct DeviceSetup {
 /// this to price devices whose model state is a shared slab).
 DeviceSetup init_devices(const fl::SchemeContext& ctx,
                          const HadflConfig& config, Rng& rng);
-
-/// Applies the configured codec round-trip to `state` in place (what the
-/// receiver reconstructs) and returns the codec's wire size in bytes of the
-/// *actual* state; kNone returns the dense size.
-std::size_t compress_roundtrip(std::span<float> state,
-                               std::span<const float> reference,
-                               const HadflConfig& config);
 
 /// Scales the full-size wire price by the codec's compression ratio.
 std::size_t effective_wire_bytes(std::size_t wire_bytes,
@@ -159,16 +152,8 @@ class WeightedRingFold {
   std::vector<double> acc_;
 };
 
-/// Mean parameter version across the ring members.
-double ring_version_mean(const std::vector<DeviceState>& devices,
+/// Mean of the ring members' reported parameter versions.
+double ring_version_mean(const std::vector<double>& versions,
                          const std::vector<sim::DeviceId>& ring);
-
-/// Installs the aggregate on every ring member (state, version, delta
-/// reference). The caller stamps ref_epoch / error-feedback per its commit
-/// rule (delta vs raw round).
-void apply_aggregate(std::vector<DeviceState>& devices,
-                     const std::vector<sim::DeviceId>& ring,
-                     const std::vector<float>& aggregate,
-                     double version_mean);
 
 }  // namespace hadfl::core

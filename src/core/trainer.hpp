@@ -21,6 +21,9 @@
 //
 // With grouping enabled (§III-C, Fig. 2a) the same protocol runs per group,
 // plus an inter-group ring every `inter_group_period` rounds.
+//
+// core::RoundDriver (core/round_driver.hpp) runs this loop for every
+// backend; run_hadfl drives it on the virtual-clock simulator.
 #pragma once
 
 #include <memory>
@@ -42,15 +45,6 @@ namespace hadfl::core {
 /// observation.
 enum class PredictorMode { kDes, kStatic, kLastValue };
 
-/// Optional lossy compression of synchronization messages (extension: the
-/// FL-standard byte-level reduction, composing with HADFL's frequency/
-/// topology reductions). kInt8 quantizes deltas to one byte per parameter;
-/// kTopK sends only the largest-magnitude entries of the delta against the
-/// shared round reference. The codec itself (and the error-feedback
-/// machinery that keeps it convergence-safe) lives in comm/delta_codec.hpp
-/// and is shared with the rt and net backends.
-using SyncCompression = comm::SyncCodec;
-
 struct HadflConfig {
   StrategyConfig strategy;
   PredictorMode predictor = PredictorMode::kDes;
@@ -63,7 +57,10 @@ struct HadflConfig {
   int backup_every_rounds = 0;         ///< <= 0 disables backups
   std::string resume_from;             ///< path to a model-manager backup to
                                        ///< start from instead of fresh init
-  SyncCompression compression = SyncCompression::kNone;
+  /// Lossy sync compression (comm/delta_codec.hpp): kInt8 quantizes deltas
+  /// to one byte per parameter; kTopK keeps the largest-magnitude entries
+  /// of the delta against the shared round reference.
+  comm::SyncCodec compression = comm::SyncCodec::kNone;
   double top_k_ratio = 0.05;           ///< fraction of entries kept (kTopK)
   /// Chunk count for codec-path encoding (0 = comm::kDefaultSyncChunks).
   /// Shared by the sim and the rt/net runtimes so a compressed run is

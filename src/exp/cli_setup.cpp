@@ -33,18 +33,15 @@ data::Partition parse_partition(const std::string& spec,
   throw InvalidArgument("unknown --partition: " + spec);
 }
 
-core::SyncCompression parse_sync_codec(const std::string& name) {
-  if (name == "none") return core::SyncCompression::kNone;
-  if (name == "int8") return core::SyncCompression::kInt8;
-  if (name == "topk") return core::SyncCompression::kTopK;
+comm::SyncCodec parse_sync_codec(const std::string& name) {
+  if (name == "none") return comm::SyncCodec::kNone;
+  if (name == "int8") return comm::SyncCodec::kInt8;
+  if (name == "topk") return comm::SyncCodec::kTopK;
   throw InvalidArgument("unknown --sync-codec: " + name);
 }
 
 std::string sync_codec_arg(const ArgParser& args) {
-  // --int8-broadcast predates --sync-codec and survives as an alias; an
-  // explicit --sync-codec wins.
-  if (args.has("sync-codec")) return args.get("sync-codec", "none");
-  return args.has("int8-broadcast") ? "int8" : "none";
+  return args.get("sync-codec", "none");
 }
 
 std::string sync_codec_flag_error(const std::string& codec,
@@ -318,8 +315,7 @@ std::vector<std::string> scenario_forward_args(const ArgParser& args) {
       "partition", "network", "jitter", "throttle", "sync-chunks",
       "sync-codec", "topk-ratio",
       "adaptive-alpha", "adaptive-warmup", "adaptive-tune"};
-  static const char* const kFlagKeys[] = {"wallclock", "int8-broadcast",
-                                          "adaptive"};
+  static const char* const kFlagKeys[] = {"wallclock", "adaptive"};
   std::vector<std::string> out;
   for (const char* key : kValueKeys) {
     if (args.has(key)) out.push_back("--" + std::string(key) + "=" +

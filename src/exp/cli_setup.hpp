@@ -34,10 +34,9 @@ nn::Architecture parse_model(const std::string& name);
 
 /// none | int8 | topk → the shared sync codec (comm/delta_codec.hpp).
 /// Throws InvalidArgument on anything else.
-core::SyncCompression parse_sync_codec(const std::string& name);
+comm::SyncCodec parse_sync_codec(const std::string& name);
 
-/// The effective --sync-codec value: an explicit --sync-codec wins, else
-/// the legacy --int8-broadcast flag is an alias for "int8", else "none".
+/// The effective --sync-codec value ("none" when the flag is absent).
 std::string sync_codec_arg(const ArgParser& args);
 
 /// Validates the codec flags. Returns the empty string when valid, else

@@ -282,7 +282,7 @@ rt::RtResult run_hadfl_net(const fl::SchemeContext& ctx,
   HADFL_CHECK_ARG(ctx.partition.size() == ctx.cluster.size(),
                   "partition count != device count");
   HADFL_CHECK_ARG(
-      config.rt.hadfl.compression == core::SyncCompression::kNone ||
+      config.rt.hadfl.compression == comm::SyncCodec::kNone ||
           config.rt.sync_chunks == 0 ||
           config.rt.sync_chunks == config.rt.hadfl.sync_chunks,
       "compressed runs must take their chunk grid from hadfl.sync_chunks "

@@ -1,16 +1,21 @@
-// Cloud-coordinator half of the rt runtime (Fig. 2a): warmup negotiation →
-// strategy generation → per-round version prediction, probability
-// selection, two-phase fault-tolerant ring synchronization, non-blocking
-// broadcast — plus the §III-A hierarchical mode: one selection ring per
-// group, and a periodic inter-group leader exchange (allgather + mean over
-// the group leaders, then a group-wide push of the global model).
+// Cloud-coordinator half of the rt runtime (Fig. 2a): the executor that
+// carries out core::RoundDriver's decisions on live device workers.
 //
-// The orchestration is backend-agnostic: everything that differs between
-// the in-process thread runner and the multi-process socket runner is
-// behind `CoordinatorIo` (command/report channels) and `DeviceOracle`
-// (reads of device state the coordinator cannot address directly). The
-// inproc implementations live in rt/runner.cpp, the socket ones in
-// src/net/runner.cpp.
+// Which decision lives where:
+//  * core::RoundDriver (core/round_driver.hpp) decides — strategy, the
+//    adaptive plan, version prediction, Eq. 8 selection and rings, the
+//    broadcast source and aligned/stale split, inter-group leaders,
+//    convergence and the model manager; the same loop drives the sim;
+//  * the rt executor here carries each decision out — commands posted to
+//    the workers and reports collected back, the two-phase ring commit and
+//    abort, fencing of dead devices, fault-plan and drift injection, the
+//    non-blocking broadcast and the two-phase inter-group exchange.
+//
+// Everything that differs between the in-process thread runner and the
+// multi-process socket runner is behind `CoordinatorIo` (command/report
+// channels) and `DeviceOracle` (reads of device state the coordinator
+// cannot address directly). The inproc implementations live in
+// rt/runner.cpp, the socket ones in src/net/runner.cpp.
 #pragma once
 
 #include <string>

@@ -84,7 +84,7 @@ RtResult run_hadfl_rt(const fl::SchemeContext& ctx, const RtConfig& config) {
   HADFL_CHECK_ARG(ctx.partition.size() == ctx.cluster.size(),
                   "partition count != device count");
   HADFL_CHECK_ARG(
-      config.hadfl.compression == core::SyncCompression::kNone ||
+      config.hadfl.compression == comm::SyncCodec::kNone ||
           config.sync_chunks == 0 ||
           config.sync_chunks == config.hadfl.sync_chunks,
       "compressed runs must take their chunk grid from hadfl.sync_chunks "

@@ -32,7 +32,7 @@ const std::vector<std::string> kKnownOptions{
     // scenario flags (exp/cli_setup.hpp forwards exactly these)
     "model", "ratio", "epochs", "scale", "seed", "np", "tsync", "policy",
     "mix", "group-size", "partition", "network", "jitter", "throttle",
-    "sync-chunks", "sync-codec", "topk-ratio", "wallclock", "int8-broadcast",
+    "sync-chunks", "sync-codec", "topk-ratio", "wallclock",
     "adaptive", "adaptive-alpha", "adaptive-warmup", "adaptive-tune",
     // endpoint wiring
     "node-id", "run-nonce", "transport", "listen-fd", "tcp-ports",

@@ -25,7 +25,6 @@
 //   --sync-codec=none|int8|topk   compress sync/broadcast deltas with
 //                           error feedback (all backends)  [none]
 //   --topk-ratio=<float>    topk: fraction of entries kept [0.05]
-//   --int8-broadcast        alias for --sync-codec=int8
 //   --model=mlp|resnet18|vgg16                         [mlp]
 //   --ratio=<comma powers>                             [3,3,1,1]
 //   --epochs=<int>          total training epochs      [16]
@@ -109,7 +108,7 @@ const std::vector<std::string> kKnownOptions{
     "partition", "network", "jitter", "csv",   "verbose", "help",
     "backend", "transport", "node-binary", "time-scale", "throttle",
     "wallclock", "die", "sync-chunks", "sync-codec", "topk-ratio",
-    "int8-broadcast", "trace-out",
+    "trace-out",
     "metrics-out", "fleet", "fleet-devices", "fleet-cohort",
     "fleet-rounds", "fleet-churn", "fleet-threads", "fleet-momentum",
     "adaptive", "adaptive-alpha", "adaptive-warmup", "adaptive-tune",
@@ -128,7 +127,7 @@ void print_usage() {
       "                 [--node-binary=PATH] [--time-scale=S]\n"
       "                 [--throttle=S] [--wallclock] [--die=DEV:ROUND:STEP]\n"
       "                 [--sync-chunks=C] [--sync-codec=none|int8|topk]\n"
-      "                 [--topk-ratio=R] [--int8-broadcast]\n"
+      "                 [--topk-ratio=R]\n"
       "                 [--adaptive] [--adaptive-alpha=F]\n"
       "                 [--adaptive-warmup=N] [--adaptive-tune=LIST]\n"
       "                 [--drift=DEV:ROUND:FACTOR[:KIND[:P1[:P2]]]]\n"

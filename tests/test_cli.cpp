@@ -122,20 +122,15 @@ TEST(SyncCodecFlags, RejectsOutOfRangeTopkRatio) {
   EXPECT_NE(exp::sync_codec_flag_error("topk", 1.5), "");
 }
 
-TEST(SyncCodecFlags, Int8BroadcastIsAnAliasForSyncCodecInt8) {
-  EXPECT_EQ(exp::sync_codec_arg(parse({"--int8-broadcast"})), "int8");
+TEST(SyncCodecFlags, SyncCodecArgDefaultsToNone) {
   EXPECT_EQ(exp::sync_codec_arg(parse({"--sync-codec=topk"})), "topk");
-  // An explicit --sync-codec wins over the legacy alias.
-  EXPECT_EQ(
-      exp::sync_codec_arg(parse({"--int8-broadcast", "--sync-codec=none"})),
-      "none");
   EXPECT_EQ(exp::sync_codec_arg(parse({})), "none");
 }
 
 TEST(SyncCodecFlags, ParseMapsToTheSharedCodecEnum) {
-  EXPECT_EQ(exp::parse_sync_codec("none"), core::SyncCompression::kNone);
-  EXPECT_EQ(exp::parse_sync_codec("int8"), core::SyncCompression::kInt8);
-  EXPECT_EQ(exp::parse_sync_codec("topk"), core::SyncCompression::kTopK);
+  EXPECT_EQ(exp::parse_sync_codec("none"), comm::SyncCodec::kNone);
+  EXPECT_EQ(exp::parse_sync_codec("int8"), comm::SyncCodec::kInt8);
+  EXPECT_EQ(exp::parse_sync_codec("topk"), comm::SyncCodec::kTopK);
 }
 
 // hadfl_run prints exp::fleet_flag_error's message and exits 2 whenever it

@@ -50,64 +50,6 @@ TEST(QuantizeInt8, ExtremesMapToFullRange) {
   EXPECT_EQ(q.values[2], 127);
 }
 
-TEST(TopK, KeepsLargestMagnitudes) {
-  std::vector<float> x{0.1f, -5.0f, 0.2f, 3.0f, -0.05f};
-  const SparseState s = sparsify_top_k(x, 2);
-  EXPECT_EQ(s.indices, (std::vector<std::uint32_t>{1, 3}));
-  EXPECT_EQ(s.values, (std::vector<float>{-5.0f, 3.0f}));
-  const std::vector<float> dense = densify(s);
-  EXPECT_EQ(dense, (std::vector<float>{0.0f, -5.0f, 0.0f, 3.0f, 0.0f}));
-}
-
-TEST(TopK, KClampedToSize) {
-  std::vector<float> x{1.0f, 2.0f};
-  const SparseState s = sparsify_top_k(x, 10);
-  EXPECT_EQ(s.indices.size(), 2u);
-}
-
-TEST(TopK, ZeroKeepsNothing) {
-  std::vector<float> x{1.0f, 2.0f};
-  const SparseState s = sparsify_top_k(x, 0);
-  EXPECT_TRUE(s.indices.empty());
-  EXPECT_EQ(densify(s), (std::vector<float>{0.0f, 0.0f}));
-}
-
-TEST(TopK, DensifyValidatesIndices) {
-  SparseState s;
-  s.dense_size = 2;
-  s.indices = {5};
-  s.values = {1.0f};
-  EXPECT_THROW(densify(s), hadfl::InvalidArgument);
-}
-
-TEST(Roundtrips, Int8InPlace) {
-  Tensor x = testutil::random_tensor({256}, 2, 2.0f);
-  Tensor original = x;
-  const std::size_t bytes = apply_int8_roundtrip(x.storage());
-  EXPECT_EQ(bytes, 256u + sizeof(float));
-  EXPECT_TRUE(x.allclose(original, 2.0f / 127.0f + 1e-6f));
-}
-
-TEST(Roundtrips, TopKPreservesReferencePlusLargestDeltas) {
-  std::vector<float> reference(10, 1.0f);
-  std::vector<float> state = reference;
-  state[3] += 5.0f;   // large delta — must survive
-  state[7] += 0.01f;  // small delta — dropped at 10% keep
-  apply_top_k_roundtrip(state, reference, 0.1);
-  EXPECT_NEAR(state[3], 6.0f, 1e-6);
-  EXPECT_NEAR(state[7], 1.0f, 1e-6);  // reverted to reference
-  EXPECT_NEAR(state[0], 1.0f, 1e-6);
-}
-
-TEST(Roundtrips, TopKValidation) {
-  std::vector<float> a(4, 1.0f);
-  std::vector<float> b(3, 1.0f);
-  EXPECT_THROW(apply_top_k_roundtrip(a, b, 0.5), hadfl::InvalidArgument);
-  std::vector<float> c(4, 1.0f);
-  EXPECT_THROW(apply_top_k_roundtrip(a, c, 0.0), hadfl::InvalidArgument);
-  EXPECT_THROW(apply_top_k_roundtrip(a, c, 1.5), hadfl::InvalidArgument);
-}
-
 // ------------------------------------------------- Delta codec chunk ops
 
 TEST(DeltaCodec, Int8ChunkRoundTripMatchesQuantizeInt8) {
@@ -276,7 +218,7 @@ TEST(HadflCompression, Int8CutsVolumeAndStillConverges) {
   const core::HadflResult plain = core::run_hadfl(a, s.hadfl);
 
   exp::Scenario compressed = s;
-  compressed.hadfl.compression = core::SyncCompression::kInt8;
+  compressed.hadfl.compression = comm::SyncCodec::kInt8;
   fl::SchemeContext b = env.context();
   const core::HadflResult quant = core::run_hadfl(b, compressed.hadfl);
 
@@ -292,7 +234,7 @@ TEST(HadflCompression, TopKCutsVolumeFurther) {
   exp::Scenario s = exp::paper_scenario(nn::Architecture::kMlp,
                                         {3, 3, 1, 1}, 0.5);
   s.train.total_epochs = 16;
-  s.hadfl.compression = core::SyncCompression::kTopK;
+  s.hadfl.compression = comm::SyncCodec::kTopK;
   s.hadfl.top_k_ratio = 0.05;
   exp::Environment env(s);
   fl::SchemeContext ctx = env.context();
@@ -300,7 +242,7 @@ TEST(HadflCompression, TopKCutsVolumeFurther) {
   EXPECT_GT(r.scheme.metrics.best_accuracy(), 0.4);
   // 5% of entries at 8 bytes each ≈ 10% of the dense bytes per message.
   exp::Scenario plain = s;
-  plain.hadfl.compression = core::SyncCompression::kNone;
+  plain.hadfl.compression = comm::SyncCodec::kNone;
   fl::SchemeContext ctx2 = env.context();
   const core::HadflResult base = core::run_hadfl(ctx2, plain.hadfl);
   EXPECT_LT(r.scheme.volume.total_sent(),

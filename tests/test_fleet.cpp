@@ -256,7 +256,7 @@ TEST(FleetEngine, RejectsUnsupportedConfigs) {
   {
     exp::FleetWorld world(fw);
     world.scenario().hadfl.compression =
-        core::SyncCompression::kTopK;  // needs per-device residuals
+        comm::SyncCodec::kTopK;  // needs per-device residuals
     EXPECT_THROW(core::run_hadfl_fleet(world.context(),
                                        world.scenario().hadfl,
                                        core::FleetConfig{}),

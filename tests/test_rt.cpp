@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -661,27 +662,63 @@ TEST(RtRunner, RunsHadflOnRealThreads) {
   EXPECT_LT(r.pool_stats.misses, r.pool_stats.hits);
 }
 
+/// One row of the seeded sim==rt equivalence table: a scenario tweak plus
+/// an optional speed-drift event scheduled on the shared cluster.
+struct EquivalenceCase {
+  const char* name;
+  std::vector<double> ratio;
+  std::size_t group_size = 0;
+  bool adaptive = false;
+  comm::SyncCodec codec = comm::SyncCodec::kNone;
+  std::optional<sim::DriftEvent> drift;
+};
+
 TEST(RtRunner, MatchesSimulatorBitExactlyWhenSeeded) {
   // The headline equivalence: with timing noise disabled (no jitter, no
   // faults, virtual timing), the rt backend draws the same selection/ring
   // streams and computes bit-identical aggregates, so the final model
-  // states agree exactly.
-  exp::Scenario s = rt_scenario();
-  exp::Environment env(s);
-  fl::SchemeContext sim_ctx = env.context();
-  const core::HadflResult sim = core::run_hadfl(sim_ctx, s.hadfl);
-  fl::SchemeContext rt_ctx = env.context();
-  const RtResult rt = run_hadfl_rt(rt_ctx, fast_rt_config(s.hadfl));
+  // states agree exactly. The rows cover the flat ring, hierarchical
+  // grouping (two rings plus the inter-group leader exchange) and the
+  // adaptive controller under drift with each lossy codec. The chunk tuner
+  // stays off: it reads sync latency, which rt measures on the wall clock.
+  const std::vector<EquivalenceCase> cases = {
+      {"flat", {3, 3, 1, 1}, 0, false, comm::SyncCodec::kNone, std::nullopt},
+      {"grouped", {2, 2, 1, 1, 2, 1}, /*group_size=*/3, false,
+       comm::SyncCodec::kNone, std::nullopt},
+      {"adaptive-int8-drift", {3, 3, 1, 1}, 0, /*adaptive=*/true,
+       comm::SyncCodec::kInt8,
+       sim::DriftEvent{1, 3, 4.0, sim::DriftKind::kStep}},
+      {"adaptive-topk-drift", {3, 3, 1, 1}, 0, /*adaptive=*/true,
+       comm::SyncCodec::kTopK,
+       sim::DriftEvent{0, 2, 3.0, sim::DriftKind::kStep}},
+  };
+  for (const EquivalenceCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    exp::Scenario s = rt_scenario(c.ratio);
+    s.hadfl.grouping.group_size = c.group_size;
+    s.hadfl.grouping.inter_group_period = 2;
+    s.hadfl.compression = c.codec;
+    s.hadfl.adaptive.enabled = c.adaptive;
+    s.hadfl.adaptive.tune_chunks = false;
+    s.hadfl.adaptive.warmup_rounds = 1;
+    exp::Environment env(s);
+    if (c.drift) env.context().cluster.faults().schedule_drift(*c.drift);
+    fl::SchemeContext sim_ctx = env.context();
+    const core::HadflResult sim = core::run_hadfl(sim_ctx, s.hadfl);
+    fl::SchemeContext rt_ctx = env.context();
+    const RtResult rt = run_hadfl_rt(rt_ctx, fast_rt_config(s.hadfl));
 
-  EXPECT_EQ(sim.scheme.sync_rounds, rt.scheme.sync_rounds);
-  ASSERT_EQ(sim.extras.selected.size(), rt.extras.selected.size());
-  for (std::size_t i = 0; i < sim.extras.selected.size(); ++i) {
-    EXPECT_EQ(sim.extras.selected[i], rt.extras.selected[i]) << "round " << i;
-  }
-  ASSERT_EQ(sim.scheme.final_state.size(), rt.scheme.final_state.size());
-  for (std::size_t i = 0; i < sim.scheme.final_state.size(); ++i) {
-    ASSERT_EQ(sim.scheme.final_state[i], rt.scheme.final_state[i])
-        << "parameter " << i;
+    EXPECT_EQ(sim.scheme.sync_rounds, rt.scheme.sync_rounds);
+    ASSERT_EQ(sim.extras.selected.size(), rt.extras.selected.size());
+    for (std::size_t i = 0; i < sim.extras.selected.size(); ++i) {
+      EXPECT_EQ(sim.extras.selected[i], rt.extras.selected[i])
+          << "round " << i;
+    }
+    ASSERT_EQ(sim.scheme.final_state.size(), rt.scheme.final_state.size());
+    for (std::size_t i = 0; i < sim.scheme.final_state.size(); ++i) {
+      ASSERT_EQ(sim.scheme.final_state[i], rt.scheme.final_state[i])
+          << "parameter " << i;
+    }
   }
 }
 
@@ -855,7 +892,7 @@ TEST(RtRunner, ChunkCountDoesNotChangeTheAggregate) {
 /// of MatchesSimulatorBitExactlyWhenSeeded. The encode/decode round trips
 /// are deterministic float math shared through comm/delta_codec.hpp, so
 /// lossy codecs still converge to the same bits across backends.
-void expect_codec_matches_simulator(core::SyncCompression codec,
+void expect_codec_matches_simulator(comm::SyncCodec codec,
                                     std::size_t chunks) {
   exp::Scenario s = rt_scenario();
   s.train.total_epochs = 6;
@@ -876,11 +913,11 @@ void expect_codec_matches_simulator(core::SyncCompression codec,
 }
 
 TEST(RtRunner, Int8CodecMatchesSimulatorBitExactly) {
-  expect_codec_matches_simulator(core::SyncCompression::kInt8, 4);
+  expect_codec_matches_simulator(comm::SyncCodec::kInt8, 4);
 }
 
 TEST(RtRunner, TopKCodecMatchesSimulatorBitExactly) {
-  expect_codec_matches_simulator(core::SyncCompression::kTopK, 3);
+  expect_codec_matches_simulator(comm::SyncCodec::kTopK, 3);
 }
 
 TEST(RtRunner, CompressedSyncShrinksWireVolumeAndStillLearns) {
@@ -890,13 +927,13 @@ TEST(RtRunner, CompressedSyncShrinksWireVolumeAndStillLearns) {
   fl::SchemeContext ctx_a = env.context();
   const RtResult dense = run_hadfl_rt(ctx_a, fast_rt_config(s.hadfl));
 
-  s.hadfl.compression = core::SyncCompression::kInt8;
+  s.hadfl.compression = comm::SyncCodec::kInt8;
   fl::SchemeContext ctx_b = env.context();
   const RtResult int8 = run_hadfl_rt(ctx_b, fast_rt_config(s.hadfl));
   EXPECT_LT(int8.scheme.volume.total_sent(), dense.scheme.volume.total_sent());
   EXPECT_GT(int8.scheme.metrics.best_accuracy(), 0.4);
 
-  s.hadfl.compression = core::SyncCompression::kTopK;
+  s.hadfl.compression = comm::SyncCodec::kTopK;
   s.hadfl.top_k_ratio = 0.05;
   fl::SchemeContext ctx_c = env.context();
   const RtResult topk = run_hadfl_rt(ctx_c, fast_rt_config(s.hadfl));
@@ -908,7 +945,7 @@ TEST(RtRunner, CompressedSyncShrinksWireVolumeAndStillLearns) {
 
 TEST(RtRunner, CompressedRunRejectsMismatchedChunkGrids) {
   exp::Scenario s = rt_scenario();
-  s.hadfl.compression = core::SyncCompression::kInt8;
+  s.hadfl.compression = comm::SyncCodec::kInt8;
   s.hadfl.sync_chunks = 4;
   exp::Environment env(s);
   fl::SchemeContext ctx = env.context();
