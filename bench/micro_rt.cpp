@@ -82,32 +82,6 @@ void BM_RtRingAllgather(benchmark::State& state) {
 }
 BENCHMARK(BM_RtRingAllgather)->Arg(2)->Arg(4)->Arg(8);
 
-// Bandwidth-optimal reduce-scatter + all-gather on the same rings, for
-// comparison with the all-gather path the trainer uses.
-void BM_RtRingAllreduceAverage(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const std::size_t elems = 1 << 14;
-  std::vector<sim::DeviceId> ring(k);
-  for (std::size_t i = 0; i < k; ++i) ring[i] = i;
-  rt::InprocTransport t(k, sim::NetworkModel{1e-5, 1e9});
-  std::vector<std::vector<float>> data(k, std::vector<float>(elems));
-  for (auto _ : state) {
-    for (auto& d : data) std::fill(d.begin(), d.end(), 1.0f);
-    std::vector<std::thread> members;
-    members.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      members.emplace_back([&, i] {
-        rt::ring_allreduce_average(t, ring, i, data[i], 1, 30.0);
-      });
-    }
-    for (auto& th : members) th.join();
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(k * elems *
-                                                    sizeof(float)));
-}
-BENCHMARK(BM_RtRingAllreduceAverage)->Arg(2)->Arg(4)->Arg(8);
-
 // ---- chunked vs monolithic weighted aggregation --------------------------
 //
 // The training-path sweep: `ring_weighted_aggregate` with C chunks against

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -18,7 +20,6 @@
 #include "core/coordinator.hpp"
 #include "core/fleet_selection.hpp"
 #include "core/round_driver.hpp"
-#include "fl/evaluate.hpp"
 #include "fl/local_trainer.hpp"
 #include "nn/cow_store.hpp"
 #include "nn/param_utils.hpp"
@@ -62,30 +63,50 @@ struct TrainJob {
 /// execute, the same discipline as the GEMM tile grid.
 constexpr std::size_t kFleetGrain = std::size_t{1} << 13;
 
-std::vector<double> capped_copy(const std::vector<double>& values,
-                                std::size_t cap) {
-  if (values.size() <= cap) return values;
-  return {values.begin(),
-          values.begin() + static_cast<std::ptrdiff_t>(cap)};
-}
-
-class FleetEngine {
+/// The fleet executor: carries out core::RoundDriver's decisions with every
+/// O(K) sweep on the fixed range grid and every model state in the CoW
+/// stores (core/fleet.hpp describes the two modes).
+class FleetEngine final : public RoundExecutor {
  public:
+  /// Validates the configs, then dispatches the initial model from `rng`
+  /// draw for draw as init_devices does.
   FleetEngine(const fl::SchemeContext& ctx, const HadflConfig& config,
-              const FleetConfig& fleet)
-      : ctx_(ctx),
-        config_(config),
-        fleet_(fleet),
-        cluster_(ctx.cluster),
-        k_(ctx.cluster.size()),
-        transport_(ctx.cluster, ctx.network),
-        rng_(ctx.config.seed) {}
+              const FleetConfig& fleet, Rng& rng);
 
-  FleetResult run();
+  /// What the driver reads: iterations per epoch, compute powers and the
+  /// evaluation model. No per-device DeviceState exists.
+  const DeviceSetup& setup() const { return setup_; }
+  const comm::VolumeCounters& volume() const { return transport_.volume(); }
+  FleetStats stats() const;
+
+  Negotiation negotiate(DeviceReports& reports) override;
+  bool begin_round() override;
+  std::vector<bool> available() override;
+  double train(std::size_t round, const std::vector<std::size_t>& budgets,
+               double window, DeviceReports& reports) override;
+  RingPlan plan_ring(SelectionPolicy& policy,
+                     const std::vector<sim::DeviceId>& candidates,
+                     const std::vector<double>& predicted,
+                     const std::vector<double>& compute_powers,
+                     const std::vector<double>& bandwidth_scales,
+                     std::size_t select_count, Rng& rng) override;
+  SyncOutcome sync(std::size_t round, RingPlan planned, const SyncPlan& plan,
+                   DeviceReports& reports) override;
+  /// Syncs ship raw state only (no codec), so no reference is ever read.
+  std::int64_t ref_epoch(sim::DeviceId) const override { return 0; }
+  void broadcast(const SyncOutcome& sync, sim::DeviceId src,
+                 const std::vector<sim::DeviceId>& aligned,
+                 const std::vector<sim::DeviceId>& stale,
+                 const SyncPlan& plan) override;
+  std::vector<float> inter_group(const std::vector<sim::DeviceId>& leaders,
+                                 const DeviceGroups& groups) override;
+  std::vector<float> mean_state() override;
+  double now() override { return cluster_.max_time(); }
+  std::vector<float> finish(bool need_state) override;
 
  private:
   // ---- setup ----
-  void init_fleet();
+  void init_fleet(Rng& rng);
   void build_slots(std::size_t count);
 
   // ---- state plumbing ----
@@ -105,12 +126,12 @@ class FleetEngine {
 
   /// Exact per-device-order mean — the same StateAccumulator fold
   /// mean_state_of runs, reading slab views instead of model arenas.
-  std::vector<float> mean_state_exact(const std::vector<sim::DeviceId>& ids);
+  std::vector<float> mean_exact(const std::vector<sim::DeviceId>& ids);
   /// Class-folded mean (cohort mode): one accumulate per distinct slab,
   /// weighted by its share — same value up to float fold order.
-  std::vector<float> mean_state_classes(const std::vector<sim::DeviceId>& ids);
-  std::vector<float> mean_state(const std::vector<sim::DeviceId>& ids) {
-    return exact_mode() ? mean_state_exact(ids) : mean_state_classes(ids);
+  std::vector<float> mean_classes(const std::vector<sim::DeviceId>& ids);
+  std::vector<float> mean_of(const std::vector<sim::DeviceId>& ids) {
+    return exact_mode() ? mean_exact(ids) : mean_classes(ids);
   }
 
   // ---- training ----
@@ -120,21 +141,6 @@ class FleetEngine {
   /// exclusively-owned training job. Mutates the stores — coordinator
   /// thread only.
   TrainJob make_job(sim::DeviceId d, std::size_t steps);
-
-  // ---- round pieces ----
-  void warm_up(std::size_t num_groups);
-  void full_sync_after_negotiation();
-  void record_point(const std::vector<float>& eval_state);
-  bool aggregate_group(const std::vector<sim::DeviceId>& candidates,
-                       const std::vector<double>& predicted,
-                       std::vector<sim::DeviceId>& selected_this_round,
-                       std::vector<float>& eval_state);
-  void broadcast_integrate(const std::vector<sim::DeviceId>& delivered,
-                           const std::vector<float>& aggregate,
-                           double version_mean);
-  void inter_group_sync(const DeviceGroups& groups,
-                        const LivenessMonitor& liveness,
-                        std::vector<float>& eval_state);
 
   /// A cohort covering the whole fleet has nothing to sample.
   bool exact_mode() const {
@@ -171,58 +177,112 @@ class FleetEngine {
   sim::Cluster& cluster_;
   const std::size_t k_;
   comm::SimTransport transport_;
-  Rng rng_;
+  LivenessMonitor liveness_;
+  const std::size_t threads_;  ///< resolved scalar-sweep thread budget
+  obs::SpanRecorder* recorder_;
+  FleetObjective objective_ = FleetObjective::kGaussianQuartile;
 
-  std::shared_ptr<SelectionPolicy> policy_;
+  DeviceSetup setup_;
   std::unique_ptr<CowStateStore> store_;
   std::unique_ptr<CowStateStore> vstore_;  ///< momentum velocity slabs
-  std::unique_ptr<nn::Sequential> reference_;
   std::size_t state_floats_ = 0;
-  std::size_t velocity_floats_ = 0;
   std::size_t wire_bytes_ = 0;
-  std::size_t threads_ = 1;  ///< resolved scalar-sweep thread budget
-  obs::SpanRecorder* recorder_ = nullptr;
-  FleetObjective objective_ = FleetObjective::kGaussianQuartile;
+  FleetStats stats_;
 
   // Per-device SoA (scalars only — all model state lives in the store).
   std::vector<SlabId> state_slab_;
   std::vector<SlabId> sync_slab_;
   std::vector<SlabId> velocity_slab_;  ///< sized only when momentum > 0
   std::vector<double> version_;
-  std::vector<double> last_loss_;
-  std::vector<std::size_t> last_executed_;
-  std::vector<std::uint8_t> trained_this_round_;
+  std::vector<std::size_t> budget_;  ///< this round's window-fitted steps
+  std::vector<std::uint8_t> up_;     ///< available() scratch
   std::vector<Rng> batch_rngs_;
-  std::vector<std::size_t> ipe_;
-  std::vector<double> compute_powers_;
-  std::vector<double> bandwidth_scales_;
   std::unordered_map<sim::DeviceId, data::BatchIterator> batches_;
 
   std::vector<TrainerSlot> slots_;
   nn::StateAccumulator mean_acc_;
   WeightedRingFold ring_fold_;
-
-  TrainingStrategy strategy_;
-  std::vector<double> prev_actual_;  ///< full-K kLastValue history
-  double epochs_done_ = 0.0;
-
-  FleetResult result_;
+  sim::SimTime t0_ = 0.0;  ///< the current round's start
 };
 
-void FleetEngine::init_fleet() {
+FleetEngine::FleetEngine(const fl::SchemeContext& ctx,
+                         const HadflConfig& config, const FleetConfig& fleet,
+                         Rng& rng)
+    : ctx_(ctx),
+      config_(config),
+      fleet_(fleet),
+      cluster_(ctx.cluster),
+      k_(ctx.cluster.size()),
+      transport_(ctx.cluster, ctx.network),
+      liveness_(ctx.cluster),
+      threads_(fleet.scalar_threads == 0 ? default_compute_threads()
+                                         : fleet.scalar_threads),
+      recorder_(fleet.recorder) {
+  check_hadfl_args(ctx_, config_);
+  HADFL_CHECK_ARG(config_.compression == comm::SyncCodec::kNone,
+                  "fleet engine supports the uncompressed sync codec only "
+                  "(the compressed-delta path needs per-device "
+                  "error-feedback residuals, which would defeat the "
+                  "shared-slab model store)");
+  HADFL_CHECK_ARG(!config_.adaptive.enabled,
+                  "fleet engine runs the static strategy only (the "
+                  "adaptive controller plans codecs the fleet cannot "
+                  "carry out)");
+  if (!exact_mode()) {
+    HADFL_CHECK_ARG(fleet_.cohort >= config_.strategy.select_count,
+                    "fleet cohort " << fleet_.cohort
+                                    << " smaller than select_count "
+                                    << config_.strategy.select_count);
+    const std::string policy =
+        config_.policy ? config_.policy->name() : "gaussian-quartile";
+    if (policy == "gaussian-quartile") {
+      objective_ = FleetObjective::kGaussianQuartile;
+    } else if (policy == "top-k") {
+      objective_ = FleetObjective::kTopVersion;
+    } else {
+      HADFL_CHECK_ARG(false,
+                      "sampled-cohort mode supports the gaussian-quartile "
+                      "and top-k policies; got " << policy);
+    }
+  }
+
+  init_fleet(rng);
+  build_slots(default_compute_threads());
+  const std::size_t velocity_floats = slots_[0].optimizer->velocity_size();
+  if (ctx_.config.momentum != 0.0 && velocity_floats > 0) {
+    // One zero slab shared by the whole fleet: a device forks a private
+    // velocity copy only when it first trains (make_job detaches it), so
+    // resident optimizer memory tracks the trained cohort, not K.
+    vstore_ = std::make_unique<CowStateStore>(velocity_floats);
+    velocity_slab_.resize(k_);
+    const SlabId zero = vstore_->create_zeroed();
+    for (std::size_t d = 0; d < k_; ++d) {
+      vstore_->retain(zero);
+      velocity_slab_[d] = zero;
+    }
+    vstore_->release(zero);  // drop the creation reference
+  }
+  stats_.devices = k_;
+  stats_.state_floats = state_floats_;
+  stats_.naive_state_bytes =
+      2 * k_ * state_floats_ * sizeof(float) +  // model + last-sync, per dev
+      (vstore_ ? k_ * velocity_floats * sizeof(float) : 0);
+}
+
+void FleetEngine::init_fleet(Rng& rng) {
   // Mirrors init_devices' RNG contract draw for draw (round_logic.hpp):
   // the reference model consumes the main stream, then each device splits
   // a device stream whose model split is *discarded* — every device's
   // random init is overwritten by the dispatched state anyway, which is
   // exactly why the fleet can start all K devices on one shared slab.
-  reference_ = ctx_.make_model(rng_);
-  reference_->pack();
+  setup_.reference = ctx_.make_model(rng);
+  setup_.reference->pack();
   if (!config_.resume_from.empty()) {
     const std::vector<float> resumed = nn::load_state(config_.resume_from);
-    nn::load_state(*reference_, resumed);
+    nn::load_state(*setup_.reference, resumed);
     HADFL_INFO("resumed initial model from " << config_.resume_from);
   }
-  const std::span<const float> ref_state = nn::state_view(*reference_);
+  const std::span<const float> ref_state = nn::state_view(*setup_.reference);
   state_floats_ = ref_state.size();
   wire_bytes_ = ctx_.comm_state_bytes != 0 ? ctx_.comm_state_bytes
                                            : state_floats_ * sizeof(float);
@@ -231,28 +291,24 @@ void FleetEngine::init_fleet() {
   state_slab_.resize(k_);
   sync_slab_.resize(k_);
   version_.assign(k_, 0.0);
-  last_loss_.assign(k_, 0.0);
-  last_executed_.assign(k_, 0);
-  trained_this_round_.assign(k_, 0);
+  budget_.assign(k_, 0);
+  up_.assign(k_, 0);
   batch_rngs_.reserve(k_);
-  ipe_.resize(k_);
-  const sim::DeviceTable& table = cluster_.table();
-  compute_powers_.assign(table.compute_powers().begin(),
-                         table.compute_powers().end());
-  bandwidth_scales_.assign(table.bandwidth_scales().begin(),
-                           table.bandwidth_scales().end());
+  setup_.iters_per_epoch.resize(k_);
+  const std::span<const double> powers = cluster_.table().compute_powers();
+  setup_.compute_powers.assign(powers.begin(), powers.end());
 
   const SlabId init = store_->create(ref_state);
   for (std::size_t d = 0; d < k_; ++d) {
-    Rng dev_rng = rng_.split();
+    Rng dev_rng = rng.split();
     (void)dev_rng.split();  // the model stream — unused, see above
     batch_rngs_.push_back(dev_rng.split());
     store_->retain(init);
     state_slab_[d] = init;
     store_->retain(init);
     sync_slab_[d] = init;
-    ipe_[d] = fl::iters_per_epoch(ctx_.partition[d].size(),
-                                  ctx_.config.device_batch_size);
+    setup_.iters_per_epoch[d] = fl::iters_per_epoch(
+        ctx_.partition[d].size(), ctx_.config.device_batch_size);
   }
   store_->release(init);  // drop the creation reference
 }
@@ -310,8 +366,7 @@ void FleetEngine::run_jobs(std::vector<TrainJob>& jobs, double learning_rate) {
         }
       },
       lanes);
-  for (const TrainJob& job : jobs) trained_this_round_[job.id] = 1;
-  result_.stats.train_episodes += jobs.size();
+  stats_.train_episodes += jobs.size();
   span(start, obs::SpanKind::kCompute, "train");
 }
 
@@ -328,7 +383,7 @@ TrainJob FleetEngine::make_job(sim::DeviceId d, std::size_t steps) {
   return job;
 }
 
-std::vector<float> FleetEngine::mean_state_exact(
+std::vector<float> FleetEngine::mean_exact(
     const std::vector<sim::DeviceId>& ids) {
   HADFL_CHECK_ARG(!ids.empty(), "fleet mean over zero devices");
   mean_acc_.reset(state_floats_);
@@ -339,11 +394,11 @@ std::vector<float> FleetEngine::mean_state_exact(
   return mean_acc_.materialize();
 }
 
-std::vector<float> FleetEngine::mean_state_classes(
+std::vector<float> FleetEngine::mean_classes(
     const std::vector<sim::DeviceId>& ids) {
   HADFL_CHECK_ARG(!ids.empty(), "fleet mean over zero devices");
   // Classes fold in first-member order: when every slab is distinct the
-  // accumulate sequence degenerates to mean_state_exact's per-device fold,
+  // accumulate sequence degenerates to mean_exact's per-device fold,
   // bit for bit — which keeps saturated cohort groups on the exact path.
   std::unordered_map<SlabId, std::size_t> index;
   std::vector<std::pair<SlabId, std::size_t>> classes;  // (slab, count)
@@ -365,43 +420,35 @@ std::vector<float> FleetEngine::mean_state_classes(
   return mean_acc_.materialize();
 }
 
-void FleetEngine::warm_up(std::size_t num_groups) {
+RoundExecutor::Negotiation FleetEngine::negotiate(DeviceReports& reports) {
   const int warmup_epochs = std::max(1, ctx_.config.warmup_epochs);
-  std::vector<sim::DeviceId> sample;
-  if (exact_mode()) {
-    sample.resize(k_);
-    for (std::size_t d = 0; d < k_; ++d) sample[d] = d;
-  } else {
+  const std::vector<std::size_t>& ipe = setup_.iters_per_epoch;
+  std::size_t sample = k_;
+  if (!exact_mode()) {
     // Train a cohort-per-group id prefix: with a cycled power-ratio table
     // the prefix covers every heterogeneity class as long as it spans the
     // ratio length. The rest of the fleet keeps the dispatched state and
     // inherits the sample's mean loss for the first convergence point.
-    sample.resize(std::min(fleet_.cohort * std::max<std::size_t>(1, num_groups),
-                           k_));
-    for (std::size_t i = 0; i < sample.size(); ++i) {
-      sample[i] = static_cast<sim::DeviceId>(i);
-    }
+    // make_groups is deterministic (compute-power sort, no RNG), so the
+    // driver's own call sees the same groups.
+    sample = std::min(
+        fleet_.cohort * make_groups(cluster_, config_.grouping).size(), k_);
   }
-
   std::vector<TrainJob> jobs;
-  jobs.reserve(sample.size());
-  for (const sim::DeviceId d : sample) {
+  jobs.reserve(sample);
+  for (sim::DeviceId d = 0; d < sample; ++d) {
     jobs.push_back(
-        make_job(d, static_cast<std::size_t>(warmup_epochs) * ipe_[d]));
+        make_job(d, static_cast<std::size_t>(warmup_epochs) * ipe[d]));
   }
   run_jobs(jobs, ctx_.config.warmup_learning_rate);
   double sample_loss = 0.0;
   for (const TrainJob& job : jobs) {
-    last_loss_[job.id] = job.loss;
+    reports.loss[job.id] = job.loss;
     sample_loss += job.loss;
   }
-  if (!exact_mode() && !jobs.empty()) {
-    sample_loss /= static_cast<double>(jobs.size());
-    std::vector<bool> trained(k_, false);
-    for (const TrainJob& job : jobs) trained[job.id] = true;
-    for (std::size_t d = 0; d < k_; ++d) {
-      if (!trained[d]) last_loss_[d] = sample_loss;
-    }
+  if (sample < k_ && sample > 0) {
+    sample_loss /= static_cast<double>(sample);
+    for (std::size_t d = sample; d < k_; ++d) reports.loss[d] = sample_loss;
   }
 
   // Timing is analytic for every device (the walk draws each device's own
@@ -410,132 +457,175 @@ void FleetEngine::warm_up(std::size_t num_groups) {
   // would. Devices advance unsynced over the fixed range grid (disjoint
   // ids ⇒ disjoint clock slots and jitter streams); per-range clock maxima
   // fold back afterwards.
-  std::vector<sim::SimTime> epoch_times(k_);
-  const std::size_t ranges = range_count(k_);
-  std::vector<sim::SimTime> range_clock(ranges, 0.0);
+  Negotiation out;
+  out.epoch_times.resize(k_);
+  std::vector<sim::SimTime> range_clock(range_count(k_), 0.0);
   for_ranges(k_, [&](std::size_t r, std::size_t begin, std::size_t end) {
     for (std::size_t d = begin; d < end; ++d) {
       const sim::SimTime duration = cluster_.advance_compute_unsynced(
-          d, static_cast<std::size_t>(warmup_epochs) * ipe_[d]);
-      epoch_times[d] = duration / static_cast<double>(warmup_epochs);
+          d, static_cast<std::size_t>(warmup_epochs) * ipe[d]);
+      out.epoch_times[d] = duration / static_cast<double>(warmup_epochs);
       range_clock[r] = std::max(range_clock[r], cluster_.time(d));
     }
   });
   for (const sim::SimTime t : range_clock) cluster_.note_clock(t);
   cluster_.barrier_all();
-  result_.extras.negotiated_epoch_times.assign(
-      epoch_times.begin(),
-      epoch_times.begin() +
-          static_cast<std::ptrdiff_t>(
-              std::min(fleet_.extras_device_cap, k_)));
 
-  const StrategyGenerator generator(config_.strategy);
-  strategy_ = generator.generate(epoch_times, ipe_);
-  result_.extras.strategy = strategy_;
-  HADFL_INFO("hadfl-fleet strategy: H_E=" << strategy_.hyperperiod
-                                          << "s window="
-                                          << strategy_.round_window << "s");
-  epochs_done_ = warmup_epochs;
-}
-
-void FleetEngine::full_sync_after_negotiation() {
-  std::vector<sim::DeviceId> reachable;
-  for (std::size_t d = 0; d < k_; ++d) {
-    if (cluster_.faults().alive(d, cluster_.time(d))) reachable.push_back(d);
-  }
-  if (reachable.size() <= 1) return;
-  const std::vector<float> mean = mean_state(reachable);
-  try {
-    comm::simulate_ring_allreduce(transport_, reachable, wire_bytes_);
-    const SlabId shared = store_->create(mean);
-    for (const sim::DeviceId d : reachable) {
-      store_->retain(shared);
-      rebind_state(d, shared);  // run_hadfl load_states the model only;
-                                // the last-sync reference stays put
-    }
-    store_->release(shared);
-  } catch (const CommError&) {
-    HADFL_WARN("post-negotiation sync skipped: device went down");
-  }
-}
-
-void FleetEngine::record_point(const std::vector<float>& eval_state) {
-  nn::load_state(*reference_, eval_state);
-  const fl::EvalResult eval = fl::evaluate(*reference_, ctx_.test);
-  double loss_sum = 0.0;
-  double loss_weight = 0.0;
-  // Exact mode: every device with executed > 0 trained, so this is
-  // run_hadfl's executed-weighted sum (executed == 0 contributes nothing
-  // there too). Cohort mode: untrained devices carry stale losses, so only
-  // the trained cohort enters the point.
-  for (std::size_t d = 0; d < k_; ++d) {
-    if (trained_this_round_[d] == 0) continue;
-    loss_sum += last_loss_[d] * static_cast<double>(last_executed_[d]);
-    loss_weight += static_cast<double>(last_executed_[d]);
-  }
-  result_.scheme.metrics.add(fl::ConvergencePoint{
-      epochs_done_, cluster_.max_time(),
-      loss_weight > 0.0 ? loss_sum / loss_weight : 0.0, eval.loss,
-      eval.accuracy});
-}
-
-bool FleetEngine::aggregate_group(
-    const std::vector<sim::DeviceId>& candidates,
-    const std::vector<double>& predicted,
-    std::vector<sim::DeviceId>& selected_this_round,
-    std::vector<float>& eval_state) {
-  const double sel_start = span_now();
-  std::vector<sim::DeviceId> ring;
-  std::vector<TrainJob> jobs;  // cohort mode only — exact trains up front
-  if (exact_mode() || candidates.size() <= fleet_.cohort) {
-    RingPlan plan =
-        plan_ring(*policy_, candidates, predicted, compute_powers_,
-                  bandwidth_scales_, config_.strategy.select_count, rng_);
-    ring = std::move(plan.ring);
-    if (!exact_mode()) {
-      // Saturated group: the cohort covers every candidate, so the group
-      // degrades to the exact per-group plan — the policy's own draws pick
-      // the ring and every candidate with a step budget trains.
-      for (const sim::DeviceId d : candidates) {
-        if (last_executed_[d] == 0) continue;
-        jobs.push_back(make_job(d, last_executed_[d]));
+  const std::vector<sim::DeviceId> reachable = liveness_.available();
+  if (config_.full_sync_after_negotiation && reachable.size() > 1) {
+    const std::vector<float> mean = mean_of(reachable);
+    try {
+      comm::simulate_ring_allreduce(transport_, reachable, wire_bytes_);
+      const SlabId shared = store_->create(mean);
+      for (const sim::DeviceId d : reachable) {
+        store_->retain(shared);
+        rebind_state(d, shared);  // run_hadfl load_states the model only;
+                                  // the last-sync reference stays put
       }
+      store_->release(shared);
+    } catch (const CommError&) {
+      HADFL_WARN("post-negotiation sync skipped: device went down");
     }
+  }
+  out.start_state = mean_of(fl::all_device_ids(cluster_));
+  return out;
+}
+
+bool FleetEngine::begin_round() {
+  if (fleet_.max_rounds != 0 && stats_.rounds >= fleet_.max_rounds) {
+    return false;
+  }
+  ++stats_.rounds;
+  t0_ = cluster_.max_time();  // no clock passes t0, so no note_clock
+  for_ranges(k_, [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t d = begin; d < end; ++d) {
+      cluster_.advance_to_unsynced(d, t0_);
+    }
+  });
+  return true;
+}
+
+std::vector<bool> FleetEngine::available() {
+  for_ranges(k_, [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t d = begin; d < end; ++d) {
+      up_[d] = liveness_.is_available(d) ? std::uint8_t{1} : std::uint8_t{0};
+    }
+  });
+  return {up_.begin(), up_.end()};
+}
+
+double FleetEngine::train(std::size_t round,
+                          const std::vector<std::size_t>& budgets,
+                          double window, DeviceReports& reports) {
+  // Fused O(K) walk over the fixed range grid: jitter and drift draw,
+  // deadline-truncated step budget (analytic: what fits the window given
+  // the device's iteration time and this burst's draws), burst + window
+  // advancement, version bump. Every device touches only its own clock
+  // slot and jitter stream, so ranges run unsynced; the partials —
+  // integer-valued executed sums, clock maxima, trained-id lists — are
+  // order-independent or merge in range order, keeping every thread count
+  // bit-identical to the serial walk. Exact mode runs the SGD for every
+  // budget here; cohort mode reports nothing executed yet, and each
+  // group's cohort trains in sync() before its fold.
+  const double clock_start = span_now();
+  const std::size_t ranges = range_count(k_);
+  std::vector<double> range_executed(ranges, 0.0);
+  std::vector<sim::SimTime> range_clock(ranges, 0.0);
+  std::vector<std::vector<sim::DeviceId>> range_train(ranges);
+  const bool train_all = exact_mode();
+  for_ranges(k_, [&](std::size_t r, std::size_t begin, std::size_t end) {
+    for (std::size_t d = begin; d < end; ++d) {
+      // The sim executor's operand order; drift is exactly 1.0 without
+      // events (sim/fault.hpp).
+      const double iter_time = cluster_.iteration_time(d) *
+                               cluster_.sample_jitter_factor(d) *
+                               cluster_.faults().drift_multiplier(d, round);
+      const auto fit = static_cast<std::size_t>(
+          std::max(0.0, std::floor(window / iter_time + 1e-9)));
+      const std::size_t executed = std::min(budgets[d], fit);
+      budget_[d] = executed;
+      reports.executed[d] = train_all ? executed : 0;
+      if (train_all && executed > 0) range_train[r].push_back(d);
+      cluster_.advance_unsynced(d,
+                                iter_time * static_cast<double>(executed));
+      cluster_.advance_to_unsynced(d, t0_ + window);
+      version_[d] += static_cast<double>(executed);
+      reports.version[d] = version_[d];
+      range_executed[r] += static_cast<double>(executed);
+      range_clock[r] = std::max(range_clock[r], cluster_.time(d));
+    }
+  });
+  double executed_total = 0.0;
+  std::vector<TrainJob> jobs;
+  for (std::size_t r = 0; r < ranges; ++r) {
+    executed_total += range_executed[r];
+    cluster_.note_clock(range_clock[r]);
+    for (const sim::DeviceId d : range_train[r]) {
+      jobs.push_back(make_job(d, budget_[d]));
+    }
+  }
+  span(clock_start, obs::SpanKind::kIdle, "clock");
+  run_jobs(jobs, ctx_.config.learning_rate);
+  for (const TrainJob& job : jobs) reports.loss[job.id] = job.loss;
+  return executed_total;
+}
+
+RingPlan FleetEngine::plan_ring(SelectionPolicy& policy,
+                                const std::vector<sim::DeviceId>& candidates,
+                                const std::vector<double>& predicted,
+                                const std::vector<double>& compute_powers,
+                                const std::vector<double>& bandwidth_scales,
+                                std::size_t select_count, Rng& rng) {
+  const double start = span_now();
+  RingPlan plan;
+  if (exact_mode() || candidates.size() <= fleet_.cohort) {
+    plan = RoundExecutor::plan_ring(policy, candidates, predicted,
+                                    compute_powers, bandwidth_scales,
+                                    select_count, rng);
+    // Saturated group: the cohort covers every candidate, so the group
+    // degrades to the exact per-group plan — the policy's own draws pick
+    // the ring and every candidate trains.
+    if (!exact_mode()) plan.train = candidates;
   } else {
     // One fresh seed per selection keeps the counter-keyed E–S draw stream
-    // range- and thread-invariant while still advancing the engine RNG
-    // exactly once per group selection.
-    const std::uint64_t draw_seed = rng_();
+    // range- and thread-invariant while still advancing the RNG exactly
+    // once per group selection.
+    const std::uint64_t draw_seed = rng();
     const FleetSelection sel = select_fleet_cohort(
-        predicted, candidates, config_.strategy.select_count,
-        fleet_.cohort - std::min(fleet_.cohort,
-                                 config_.strategy.select_count),
-        fleet_.selection_buckets, draw_seed, objective_, threads_);
-    ring = StrategyGenerator::make_ring(sel.cohort, rng_);
-    // Only now does any SGD happen: ring members + shadow runners-up train
-    // their analytic step budgets; everyone else is already fully priced.
-    std::vector<sim::DeviceId> to_train = ring;
-    to_train.insert(to_train.end(), sel.shadow.begin(), sel.shadow.end());
-    jobs.reserve(to_train.size());
-    for (const sim::DeviceId d : to_train) {
-      if (last_executed_[d] == 0) continue;
-      jobs.push_back(make_job(d, last_executed_[d]));
-    }
+        predicted, candidates, select_count,
+        fleet_.cohort - std::min(fleet_.cohort, select_count), draw_seed,
+        objective_, threads_);
+    plan.ring = StrategyGenerator::make_ring(sel.cohort, rng);
+    // Ring members plus shadow runners-up train; everyone else is already
+    // fully priced.
+    plan.train = plan.ring;
+    plan.train.insert(plan.train.end(), sel.shadow.begin(), sel.shadow.end());
   }
-  span(sel_start, obs::SpanKind::kSync, "select");
-  if (!jobs.empty()) {
-    run_jobs(jobs, ctx_.config.learning_rate);
-    for (const TrainJob& job : jobs) last_loss_[job.id] = job.loss;
-  }
-  const double fold_start = span_now();
+  span(start, obs::SpanKind::kSync, "select");
+  return plan;
+}
 
-  // Fault-tolerant gossip aggregation (§III-D) — the run_hadfl loop with
-  // slab views in place of model arenas.
-  std::vector<float> aggregate;
+SyncOutcome FleetEngine::sync(std::size_t, RingPlan planned, const SyncPlan&,
+                              DeviceReports& reports) {
+  std::vector<TrainJob> jobs;
+  for (const sim::DeviceId d : planned.train) {
+    if (budget_[d] > 0) jobs.push_back(make_job(d, budget_[d]));
+  }
+  run_jobs(jobs, ctx_.config.learning_rate);
+  for (const TrainJob& job : jobs) {
+    reports.loss[job.id] = job.loss;
+    reports.executed[job.id] = job.steps;
+  }
+
+  // Fault-tolerant gossip aggregation (§III-D) — the sim executor's loop
+  // with slab views in place of model arenas.
+  const double fold_start = span_now();
+  std::vector<sim::DeviceId> ring = std::move(planned.ring);
+  SyncOutcome out;
   for (int attempt = 0; attempt < 4 && !ring.empty(); ++attempt) {
     const comm::RingRepairResult repair =
         comm::repair_ring(transport_, ring, config_.repair);
-    result_.extras.ring_repairs += repair.repairs;
+    out.repairs += repair.repairs;
     ring = repair.ring;
     if (ring.empty()) break;
     try {
@@ -546,77 +636,45 @@ bool FleetEngine::aggregate_group(
         ring_fold_.add(0, state_of(ring[m]), weights[m]);
       }
       comm::simulate_ring_allreduce(transport_, ring, wire_bytes_);
-      aggregate.resize(ring_fold_.size());
-      ring_fold_.write(0, aggregate);
+      out.aggregate.resize(ring_fold_.size());
+      ring_fold_.write(0, out.aggregate);
       break;
     } catch (const CommError&) {
       HADFL_WARN("partial sync hit a mid-collective fault; repairing");
-      aggregate.clear();
+      out.aggregate.clear();
       for (const sim::DeviceId id : ring) {
         cluster_.advance(id, config_.repair.wait_before_handshake);
       }
     }
   }
-  if (ring.empty() || aggregate.empty()) {
-    span(fold_start, obs::SpanKind::kBroadcast, "fold");
-    return false;
-  }
-  selected_this_round.insert(selected_this_round.end(), ring.begin(),
-                             ring.end());
-
-  const double version_mean = ring_version_mean(version_, ring);
-
-  // The commit, dedup'd: every ring member's state AND last-sync reference
-  // become the same bits, so all of them share one slab.
-  const SlabId agg_slab = store_->create(aggregate);
-  for (const sim::DeviceId id : ring) {
-    store_->retain(agg_slab);
-    rebind_state(id, agg_slab);
-    store_->retain(agg_slab);
-    rebind_sync(id, agg_slab);
-    version_[id] = version_mean;
-  }
-  store_->release(agg_slab);
-
-  // Non-blocking broadcast to the unselected members. The membership scan
-  // is O(candidates) — per-range partial lists merge in range order, so
-  // `others` keeps the serial candidate order.
-  std::vector<sim::DeviceId> others;
-  {
-    const std::size_t nc = candidates.size();
-    std::vector<std::vector<sim::DeviceId>> parts(range_count(nc));
-    for_ranges(nc, [&](std::size_t r, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const sim::DeviceId id = candidates[i];
-        if (std::find(ring.begin(), ring.end(), id) == ring.end()) {
-          parts[r].push_back(id);
-        }
-      }
-    });
-    for (const auto& part : parts) {
-      others.insert(others.end(), part.begin(), part.end());
+  out.ring = std::move(ring);
+  if (out.ok()) {
+    out.version_mean = ring_version_mean(version_, out.ring);
+    // The commit, dedup'd: every ring member's state AND last-sync
+    // reference become the same bits, so all of them share one slab.
+    const SlabId agg_slab = store_->create(out.aggregate);
+    for (const sim::DeviceId id : out.ring) {
+      store_->retain(agg_slab);
+      rebind_state(id, agg_slab);
+      store_->retain(agg_slab);
+      rebind_sync(id, agg_slab);
+      version_[id] = out.version_mean;
     }
-  }
-  if (!others.empty()) {
-    const sim::DeviceId src = ring[static_cast<std::size_t>(rng_.uniform_int(
-        0, static_cast<std::int64_t>(ring.size()) - 1))];
-    const comm::BroadcastResult bc = comm::broadcast_nonblocking(
-        transport_, src, others, wire_bytes_, threads_);
-    broadcast_integrate(bc.delivered, aggregate, version_mean);
-  }
-
-  if (eval_state.empty()) {
-    eval_state = aggregate;
-  } else {
-    nn::mix_into(eval_state, aggregate, 0.5);
+    store_->release(agg_slab);
   }
   span(fold_start, obs::SpanKind::kBroadcast, "fold");
-  return true;
+  return out;
 }
 
-void FleetEngine::broadcast_integrate(
-    const std::vector<sim::DeviceId>& delivered,
-    const std::vector<float>& aggregate, double version_mean) {
+void FleetEngine::broadcast(const SyncOutcome& sync, sim::DeviceId src,
+                            const std::vector<sim::DeviceId>&,
+                            const std::vector<sim::DeviceId>& stale,
+                            const SyncPlan&) {
+  // Raw syncs only, so every receiver is stale and takes the dense
+  // aggregate (`aligned` is empty).
+  const double start = span_now();
+  const comm::BroadcastResult bc = comm::broadcast_nonblocking(
+      transport_, src, stale, wire_bytes_, threads_);
   // integrate_broadcast is a pure function of (state, last-sync) — group
   // the receivers by that slab pair and run it once per class. Exact-mode
   // bit-identity is preserved: every class member would compute exactly
@@ -627,15 +685,16 @@ void FleetEngine::broadcast_integrate(
   // slab arrays are read-only here); per-range maps merge in range order,
   // so each class's member list keeps the serial delivered order.
   using ClassKey = std::pair<SlabId, SlabId>;
-  const std::size_t n = delivered.size();
+  const std::vector<sim::DeviceId>& delivered = bc.delivered;
   std::vector<std::map<ClassKey, std::vector<sim::DeviceId>>> parts(
-      range_count(n));
-  for_ranges(n, [&](std::size_t r, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const sim::DeviceId id = delivered[i];
-      parts[r][{state_slab_[id], sync_slab_[id]}].push_back(id);
-    }
-  });
+      range_count(delivered.size()));
+  for_ranges(delivered.size(),
+             [&](std::size_t r, std::size_t begin, std::size_t end) {
+               for (std::size_t i = begin; i < end; ++i) {
+                 const sim::DeviceId id = delivered[i];
+                 parts[r][{state_slab_[id], sync_slab_[id]}].push_back(id);
+               }
+             });
   std::map<ClassKey, std::vector<sim::DeviceId>> classes;
   for (auto& part : parts) {
     for (auto& [key, members] : part) {
@@ -643,57 +702,45 @@ void FleetEngine::broadcast_integrate(
       dst.insert(dst.end(), members.begin(), members.end());
     }
   }
+  const double w = config_.broadcast_mix_weight;
   std::vector<float> mixed;
   for (const auto& [key, members] : classes) {
     const std::span<const float> state = store_->view(key.first);
     mixed.assign(state.begin(), state.end());
-    nn::mix_into(mixed, aggregate, config_.broadcast_mix_weight);
+    nn::mix_into(mixed, sync.aggregate, w);
     const SlabId new_state = store_->create(mixed);
-    const SlabId new_sync = store_->create(aggregate);
+    const SlabId new_sync = store_->create(sync.aggregate);
     for (const sim::DeviceId id : members) {
       store_->retain(new_state);
       rebind_state(id, new_state);
       store_->retain(new_sync);
       rebind_sync(id, new_sync);
-      version_[id] =
-          (1.0 - config_.broadcast_mix_weight) * version_[id] +
-          config_.broadcast_mix_weight * version_mean;
+      version_[id] = (1.0 - w) * version_[id] + w * sync.version_mean;
     }
     store_->release(new_state);
     store_->release(new_sync);
   }
+  span(start, obs::SpanKind::kBroadcast, "fold");
 }
 
-void FleetEngine::inter_group_sync(const DeviceGroups& groups,
-                                   const LivenessMonitor& liveness,
-                                   std::vector<float>& eval_state) {
-  std::vector<sim::DeviceId> leaders;
-  for (const auto& group : groups) {
-    for (const sim::DeviceId id : group) {
-      if (liveness.is_available(id)) {
-        leaders.push_back(id);
-        break;
-      }
-    }
-  }
-  if (leaders.size() <= 1) return;
-  const std::vector<float> global = mean_state(leaders);
+std::vector<float> FleetEngine::inter_group(
+    const std::vector<sim::DeviceId>& leaders, const DeviceGroups& groups) {
+  std::vector<float> global = mean_of(leaders);
   try {
     comm::simulate_ring_allreduce(transport_, leaders, wire_bytes_);
   } catch (const CommError&) {
     HADFL_WARN("inter-group sync skipped: leader unreachable");
-    return;
+    return {};
   }
   const SlabId global_slab = store_->create(global);
   std::vector<float> mixed;
   for (std::size_t g = 0; g < groups.size() && g < leaders.size(); ++g) {
     // Available non-leader members mix the global state in; classes are
     // keyed by state slab only (the last-sync reference is untouched, as
-    // in run_hadfl's inter-group pass).
+    // in the sim executor's inter-group pass).
     std::map<SlabId, std::vector<sim::DeviceId>> classes;
     for (const sim::DeviceId id : groups[g]) {
-      if (!liveness.is_available(id)) continue;
-      if (id == leaders[g]) continue;
+      if (!liveness_.is_available(id) || id == leaders[g]) continue;
       transport_.account(leaders[g], id, wire_bytes_);
       classes[state_slab_[id]].push_back(id);
     }
@@ -712,241 +759,28 @@ void FleetEngine::inter_group_sync(const DeviceGroups& groups,
     rebind_state(leaders[g], global_slab);
   }
   store_->release(global_slab);
-  eval_state = global;
+  return global;
 }
 
-FleetResult FleetEngine::run() {
-  check_hadfl_args(ctx_, config_);
-  HADFL_CHECK_ARG(config_.compression == comm::SyncCodec::kNone,
-                  "fleet engine supports the uncompressed sync codec only "
-                  "(the compressed-delta path needs per-device "
-                  "error-feedback residuals, which would defeat the "
-                  "shared-slab model store)");
-  policy_ = config_.policy;
-  if (!policy_) policy_ = std::make_shared<GaussianQuartileSelection>();
-  if (!exact_mode()) {
-    HADFL_CHECK_ARG(fleet_.cohort >= config_.strategy.select_count,
-                    "fleet cohort " << fleet_.cohort
-                                    << " smaller than select_count "
-                                    << config_.strategy.select_count);
-    if (policy_->name() == "gaussian-quartile") {
-      objective_ = FleetObjective::kGaussianQuartile;
-    } else if (policy_->name() == "top-k") {
-      objective_ = FleetObjective::kTopVersion;
-    } else {
-      HADFL_CHECK_ARG(false,
-                      "sampled-cohort mode supports the gaussian-quartile "
-                      "and top-k policies; got " << policy_->name());
-    }
-  }
-  threads_ = fleet_.scalar_threads == 0 ? default_compute_threads()
-                                        : fleet_.scalar_threads;
-  recorder_ = fleet_.recorder;
+std::vector<float> FleetEngine::mean_state() {
+  const std::vector<sim::DeviceId> ids = liveness_.available();
+  return mean_of(ids.empty() ? fl::all_device_ids(cluster_) : ids);
+}
 
-  cluster_.reset_clocks();
-  result_.scheme.scheme_name = "hadfl-fleet";
-  result_.stats.devices = k_;
+std::vector<float> FleetEngine::finish(bool need_state) {
+  if (!need_state) return {};
+  return mean_of(fl::all_device_ids(cluster_));
+}
 
-  init_fleet();
-  build_slots(default_compute_threads());
-  velocity_floats_ = slots_[0].optimizer->velocity_size();
-  if (ctx_.config.momentum != 0.0 && velocity_floats_ > 0) {
-    // One zero slab shared by the whole fleet: a device forks a private
-    // velocity copy only when it first trains (make_job detaches it), so
-    // resident optimizer memory tracks the trained cohort, not K.
-    vstore_ = std::make_unique<CowStateStore>(velocity_floats_);
-    velocity_slab_.resize(k_);
-    const SlabId zero = vstore_->create_zeroed();
-    for (std::size_t d = 0; d < k_; ++d) {
-      vstore_->retain(zero);
-      velocity_slab_[d] = zero;
-    }
-    vstore_->release(zero);  // drop the creation reference
-  }
-  result_.stats.state_floats = state_floats_;
-  result_.stats.naive_state_bytes =
-      2 * k_ * state_floats_ * sizeof(float) +  // model + last-sync, per dev
-      (vstore_ ? k_ * velocity_floats_ * sizeof(float) : 0);
-
-  // make_groups is deterministic (compute-power sort, no RNG), so hoisting
-  // it ahead of warm-up changes nothing downstream; warm-up needs the
-  // group count to size its per-group cohort sample.
-  const DeviceGroups groups = make_groups(cluster_, config_.grouping);
-  warm_up(groups.size());
-  if (config_.full_sync_after_negotiation) full_sync_after_negotiation();
-
-  LivenessMonitor liveness(cluster_);
-  RuntimeSupervisor supervisor(k_, config_.alpha);
-  supervisor.set_threads(threads_);
-  ModelManager model_manager(config_.backup_dir, config_.backup_every_rounds);
-
-  {
-    std::vector<sim::DeviceId> all(k_);
-    for (std::size_t d = 0; d < k_; ++d) all[d] = d;
-    const std::vector<float> mean = mean_state(all);
-    nn::load_state(*reference_, mean);
-    const fl::EvalResult eval = fl::evaluate(*reference_, ctx_.test);
-    double loss_sum = 0.0;
-    for (std::size_t d = 0; d < k_; ++d) loss_sum += last_loss_[d];
-    result_.scheme.metrics.add(fl::ConvergencePoint{
-        epochs_done_, cluster_.max_time(),
-        loss_sum / static_cast<double>(k_), eval.loss, eval.accuracy});
-  }
-
-  const double total_train = static_cast<double>(ctx_.train.size());
-  std::size_t round = 0;
-  while (epochs_done_ < static_cast<double>(ctx_.config.total_epochs) &&
-         (fleet_.max_rounds == 0 || round < fleet_.max_rounds)) {
-    ++round;
-    std::fill(trained_this_round_.begin(), trained_this_round_.end(),
-              std::uint8_t{0});
-    const sim::SimTime window = strategy_.round_window;
-    const sim::SimTime t0 = cluster_.max_time();
-
-    // Fused O(K) round walk over the fixed range grid: align to t0,
-    // availability, jitter draw, deadline-truncated step budget (analytic:
-    // what fits the window given the device's iteration time and this
-    // burst's jitter draw), burst + window advancement, version bump. Every
-    // device touches only its own clock slot and jitter stream, so ranges
-    // run unsynced; the partials — integer-valued executed sums, clock
-    // maxima, trained-id lists — are order-independent or merge in range
-    // order, keeping every thread count bit-identical to the serial walk.
-    // In exact mode the SGD for every budget runs below (via jobs); in
-    // cohort mode the budgets stand on their own and only each group's
-    // cohort SGD runs later.
-    const double clock_start = span_now();
-    std::vector<std::uint8_t> available_at_start(k_, 0);
-    const std::size_t ranges = range_count(k_);
-    std::vector<double> range_executed(ranges, 0.0);
-    std::vector<sim::SimTime> range_clock(ranges, 0.0);
-    std::vector<std::vector<sim::DeviceId>> range_train(ranges);
-    const bool train_all = exact_mode();
-    for_ranges(k_, [&](std::size_t r, std::size_t begin, std::size_t end) {
-      for (std::size_t d = begin; d < end; ++d) {
-        cluster_.advance_to_unsynced(d, t0);
-        // == liveness.is_available(d) after the align: time(d) is now t0.
-        available_at_start[d] =
-            cluster_.faults().alive(d, t0) ? std::uint8_t{1} : std::uint8_t{0};
-        const double jitter = cluster_.sample_jitter_factor(d);
-        const double iter_time = cluster_.iteration_time(d) * jitter;
-        const auto fit = static_cast<std::size_t>(
-            std::max(0.0, std::floor(window / iter_time + 1e-9)));
-        const std::size_t executed = std::min(strategy_.local_steps[d], fit);
-        last_executed_[d] = executed;
-        if (train_all && executed > 0) range_train[r].push_back(d);
-        cluster_.advance_unsynced(d,
-                                  iter_time * static_cast<double>(executed));
-        cluster_.advance_to_unsynced(d, t0 + window);
-        version_[d] += static_cast<double>(executed);
-        range_executed[r] += static_cast<double>(executed);
-        range_clock[r] = std::max(range_clock[r], cluster_.time(d));
-      }
-    });
-    double executed_total = 0.0;
-    std::vector<TrainJob> jobs;
-    for (std::size_t r = 0; r < ranges; ++r) {
-      executed_total += range_executed[r];
-      cluster_.note_clock(range_clock[r]);
-      for (const sim::DeviceId d : range_train[r]) {
-        jobs.push_back(make_job(d, last_executed_[d]));
-      }
-    }
-    span(clock_start, obs::SpanKind::kIdle, "clock");
-    run_jobs(jobs, ctx_.config.learning_rate);
-    for (const TrainJob& job : jobs) last_loss_[job.id] = job.loss;
-
-    const double select_start = span_now();
-    std::vector<double> fallback(k_);
-    for_ranges(k_, [&](std::size_t, std::size_t begin, std::size_t end) {
-      for (std::size_t d = begin; d < end; ++d) {
-        fallback[d] =
-            static_cast<double>(round) * strategy_.expected_versions[d];
-      }
-    });
-    std::vector<double> predicted;
-    switch (config_.predictor) {  // inline predict_versions: the kLastValue
-      case PredictorMode::kDes:   // history lives here full-size, while the
-        predicted = supervisor.predict(fallback);  // extras copy is capped
-        break;
-      case PredictorMode::kStatic:
-        predicted = fallback;
-        break;
-      case PredictorMode::kLastValue:
-        predicted = prev_actual_.empty() ? fallback : prev_actual_;
-        break;
-    }
-
-    supervisor.observe_round(version_);
-    prev_actual_ = version_;
-    result_.extras.actual_versions.push_back(
-        capped_copy(version_, fleet_.extras_device_cap));
-    result_.extras.predicted_versions.push_back(
-        capped_copy(predicted, fleet_.extras_device_cap));
-    span(select_start, obs::SpanKind::kSync, "select");
-
-    std::vector<float> eval_state;
-    std::vector<sim::DeviceId> selected_this_round;
-    for (const auto& group : groups) {
-      std::vector<sim::DeviceId> candidates;
-      const std::size_t gn = group.size();
-      std::vector<std::vector<sim::DeviceId>> parts(range_count(gn));
-      for_ranges(gn, [&](std::size_t r, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (available_at_start[group[i]] != 0) parts[r].push_back(group[i]);
-        }
-      });
-      for (const auto& part : parts) {
-        candidates.insert(candidates.end(), part.begin(), part.end());
-      }
-      if (candidates.empty()) continue;
-      aggregate_group(candidates, predicted, selected_this_round,
-                      eval_state);
-    }
-
-    if (groups.size() > 1 &&
-        round % static_cast<std::size_t>(
-                    std::max(1, config_.grouping.inter_group_period)) ==
-            0) {
-      inter_group_sync(groups, liveness, eval_state);
-    }
-
-    result_.extras.selected.push_back(selected_this_round);
-    epochs_done_ += executed_total *
-                    static_cast<double>(ctx_.config.device_batch_size) /
-                    total_train;
-
-    if (eval_state.empty()) {
-      std::vector<sim::DeviceId> avail = liveness.available();
-      if (avail.empty()) {
-        avail.resize(k_);
-        for (std::size_t d = 0; d < k_; ++d) avail[d] = d;
-      }
-      eval_state = mean_state(avail);
-    }
-    record_point(eval_state);
-    model_manager.update(eval_state, round);
-    ++result_.scheme.sync_rounds;
-  }
-
-  result_.stats.rounds = round;
-  result_.stats.peak_state_slabs = store_->peak_slabs();
-  result_.stats.peak_state_bytes = store_->peak_bytes();
+FleetStats FleetEngine::stats() const {
+  FleetStats out = stats_;
+  out.peak_state_slabs = store_->peak_slabs();
+  out.peak_state_bytes = store_->peak_bytes();
   if (vstore_) {
-    result_.stats.peak_velocity_slabs = vstore_->peak_slabs();
-    result_.stats.peak_velocity_bytes = vstore_->peak_bytes();
+    out.peak_velocity_slabs = vstore_->peak_slabs();
+    out.peak_velocity_bytes = vstore_->peak_bytes();
   }
-  result_.stats.ring_repairs = result_.extras.ring_repairs;
-  result_.extras.model_backups = model_manager.backups_written();
-  result_.scheme.volume = transport_.volume();
-  if (model_manager.has_model()) {
-    result_.scheme.final_state = model_manager.latest();
-  } else {
-    std::vector<sim::DeviceId> all(k_);
-    for (std::size_t d = 0; d < k_; ++d) all[d] = d;
-    result_.scheme.final_state = mean_state(all);
-  }
-  result_.scheme.total_time = cluster_.max_time();
-  return std::move(result_);
+  return out;
 }
 
 }  // namespace
@@ -954,8 +788,16 @@ FleetResult FleetEngine::run() {
 FleetResult run_hadfl_fleet(const fl::SchemeContext& ctx,
                             const HadflConfig& config,
                             const FleetConfig& fleet) {
-  FleetEngine engine(ctx, config, fleet);
-  return engine.run();
+  ctx.cluster.reset_clocks();
+  Rng rng(ctx.config.seed);
+  FleetEngine engine(ctx, config, fleet, rng);
+  HadflResult run = RoundDriver(ctx, config, engine.setup(), rng, engine).run();
+  FleetResult result{std::move(run.scheme), std::move(run.extras),
+                     engine.stats()};
+  result.scheme.scheme_name = "hadfl-fleet";
+  result.scheme.volume = engine.volume();
+  result.stats.ring_repairs = result.extras.ring_repairs;
+  return result;
 }
 
 }  // namespace hadfl::core

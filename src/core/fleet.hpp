@@ -3,8 +3,11 @@
 // run_hadfl (core/trainer.cpp) materializes one model, one optimizer, one
 // batch iterator and one last-sync reference per device — O(K) model
 // memory and O(K) training compute per round, which tops out around a few
-// hundred devices. The fleet engine reproduces the same protocol with
-// per-device model state deduplicated through a copy-on-write slab store
+// hundred devices. The fleet engine is the third core::RoundExecutor: the
+// same core::RoundDriver takes every per-round decision (prediction,
+// selection draws, broadcast source, leaders, convergence points, model
+// manager), and the engine carries them out with per-device model state
+// deduplicated through a copy-on-write slab store
 // (nn/cow_store.hpp): a device handle is two slab ids (model state +
 // last-sync reference), devices that share bits share slabs, and a device
 // materializes a private copy only when it is about to train. Training runs
@@ -16,10 +19,10 @@
 // history round-trips through its slab exactly as run_hadfl's per-device
 // Sgd would carry it.
 //
-// Parallel round work: all per-round O(K) scalar sweeps — clock
+// Parallel round work: the engine's per-round O(K) scalar sweeps — clock
 // advancement, jitter draws, step-budget arithmetic, availability,
-// candidate collection, selection keys/quantiles, broadcast fan-out and
-// receiver-class grouping — run over a FIXED device-range grid (grain
+// selection keys/quantiles, broadcast fan-out and receiver-class
+// grouping — run over a FIXED device-range grid (grain
 // constant, never derived from thread count) on the shared ThreadPool,
 // with per-range partials merged in range order. Every merged reduction is
 // either order-independent (max, integer-valued sums) or folded in range
@@ -33,9 +36,10 @@
 //    exactly like run_hadfl. Bit-identical guarantee — a seeded exact-mode
 //    run produces the same final_state bits, total_time and communication
 //    volume as run_hadfl on the same context (tests/test_fleet.cpp pins
-//    this at K=8, including momentum > 0 and hierarchical grouping): the
-//    RNG draw order, the ring-fold order, and every elementwise float op
-//    match the original loop; slab sharing and class-based broadcast
+//    this at K=8, including momentum > 0, drift and hierarchical
+//    grouping): the driver draws from the same RNG stream, and the
+//    ring-fold order and every elementwise float op match the sim
+//    executor; slab sharing and class-based broadcast
 //    integration only deduplicate computations whose inputs are bit-equal.
 //    Memory still reaches O(K) slabs after warm-up (every device's warm-up
 //    trajectory differs), so exact mode is the validation path, not the
@@ -65,8 +69,12 @@
 //    gaussian-quartile (Eq. 8) and top-k selection policies through the
 //    same bucketed top-N machinery.
 //
-// Both modes ignore HadflConfig::trace; per-round phase spans (`select`,
-// `clock`, `train`, `fold`) go to FleetConfig::recorder when set.
+// Both modes honour scheduled drift events (sim/fault.hpp) like the sim
+// executor, ignore HadflConfig::trace, and reject a sync codec and the
+// adaptive controller. Per-round phase spans go to FleetConfig::recorder
+// when set: `clock` (the O(K) walk), `select` (cohort selection; the
+// driver's version prediction is outside it), `train` and `fold` (ring
+// fold, commit and broadcast integration).
 #pragma once
 
 #include "core/trainer.hpp"
@@ -88,15 +96,6 @@ struct FleetConfig {
   /// Hard cap on synchronization rounds; 0 = run to the epoch budget like
   /// run_hadfl. Fleet benches set a small cap so a K=100k sweep finishes.
   std::size_t max_rounds = 0;
-
-  /// Per-round per-device diagnostic series (actual/predicted versions) are
-  /// recorded for at most this many devices — at K=10^5 the full series
-  /// would dwarf the model memory the engine exists to save. The
-  /// supervisor/selection always see all K devices.
-  std::size_t extras_device_cap = 4096;
-
-  /// Histogram buckets for the cohort-mode approximate quartiles.
-  std::size_t selection_buckets = 512;
 
   /// Thread budget for the per-round O(K) scalar sweeps. 0 = the process
   /// compute-thread default (HADFL_NUM_THREADS); 1 = serial baseline.
@@ -127,7 +126,7 @@ struct FleetStats {
 
 struct FleetResult {
   fl::SchemeResult scheme;
-  HadflExtras extras;   ///< version series capped to extras_device_cap
+  HadflExtras extras;   ///< per-device series capped to kExtrasDeviceCap
   FleetStats stats;
 };
 

@@ -17,6 +17,10 @@ namespace {
 /// every merged result — is identical no matter how many threads execute.
 constexpr std::size_t kSelectionGrain = std::size_t{1} << 14;
 
+/// Histogram buckets for the approximate quartiles: the quartile error is
+/// at most one bucket width, (max - min) / kSelectionBuckets.
+constexpr std::size_t kSelectionBuckets = 512;
+
 /// Uniform in [0, 1) derived from (seed, id) alone — a splitmix64
 /// finalizer over the counter, matching Rng's 53-bit mantissa convention.
 /// Counter-style so a candidate's draw does not depend on which range (or
@@ -72,8 +76,8 @@ class TopN {
   std::vector<Keyed> heap_;
 };
 
-/// Rank interpolation shared by the serial and range-merged histogram
-/// paths. Continuous target rank, same convention as quantile(): q*(n-1).
+/// Rank interpolation inside the histogram. Continuous target rank, same
+/// convention as quantile(): q*(n-1).
 double rank_value(const std::vector<std::size_t>& counts, double lo,
                   double width, std::size_t n, double hi, double q) {
   const double target = q * static_cast<double>(n - 1);
@@ -95,39 +99,10 @@ double rank_value(const std::vector<std::size_t>& counts, double lo,
 
 }  // namespace
 
-BucketedQuartiles bucketed_quartiles(std::span<const double> values,
-                                     std::size_t buckets) {
-  HADFL_CHECK_ARG(!values.empty(), "bucketed_quartiles of empty span");
-  HADFL_CHECK_ARG(buckets > 0, "bucketed_quartiles with zero buckets");
-  double lo = values.front();
-  double hi = values.front();
-  for (const double v : values) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  BucketedQuartiles out;
-  if (hi - lo <= 1e-12) {
-    out.q1 = lo;
-    out.q3 = lo;
-    return out;
-  }
-  const double width = (hi - lo) / static_cast<double>(buckets);
-  std::vector<std::size_t> counts(buckets, 0);
-  for (const double v : values) {
-    const auto b =
-        std::min(buckets - 1, static_cast<std::size_t>((v - lo) / width));
-    ++counts[b];
-  }
-  out.q1 = rank_value(counts, lo, width, values.size(), hi, 0.25);
-  out.q3 = rank_value(counts, lo, width, values.size(), hi, 0.75);
-  return out;
-}
-
 FleetSelection select_fleet_cohort(std::span<const double> predicted,
                                    const std::vector<sim::DeviceId>& candidates,
                                    std::size_t select_count,
                                    std::size_t shadow_count,
-                                   std::size_t buckets,
                                    std::uint64_t draw_seed,
                                    FleetObjective objective,
                                    std::size_t threads) {
@@ -173,21 +148,22 @@ FleetSelection select_fleet_cohort(std::span<const double> predicted,
       mu = lo;
       scale = 1.0;
     } else {
-      const double width = (hi - lo) / static_cast<double>(buckets);
+      const double width = (hi - lo) / static_cast<double>(kSelectionBuckets);
       std::vector<std::vector<std::size_t>> hists(ranges);
       parallel_chunks(
           n, kSelectionGrain, threads,
           [&](std::size_t begin, std::size_t end) {
             const std::size_t r = range_of(begin);
-            hists[r].assign(buckets, 0);
+            hists[r].assign(kSelectionBuckets, 0);
             for (std::size_t i = begin; i < end; ++i) {
               const double v = predicted[candidates[i]];
-              const auto b = std::min(
-                  buckets - 1, static_cast<std::size_t>((v - lo) / width));
+              const auto b =
+                  std::min(kSelectionBuckets - 1,
+                           static_cast<std::size_t>((v - lo) / width));
               ++hists[r][b];
             }
           });
-      std::vector<std::size_t> counts(buckets, 0);
+      std::vector<std::size_t> counts(kSelectionBuckets, 0);
       // Ranges the serial fallback never visited keep empty histograms.
       for (const auto& h : hists) {
         for (std::size_t b = 0; b < h.size(); ++b) counts[b] += h[b];

@@ -38,16 +38,6 @@
 
 namespace hadfl::core {
 
-/// Approximate interquartile summary from a B-bucket histogram: one pass
-/// for min/max, one for counts, then rank interpolation inside the target
-/// bucket. Error is bounded by one bucket width (range / buckets).
-struct BucketedQuartiles {
-  double q1 = 0.0;
-  double q3 = 0.0;
-};
-BucketedQuartiles bucketed_quartiles(std::span<const double> values,
-                                     std::size_t buckets);
-
 /// What the bucketed top-N machinery ranks candidates by.
 enum class FleetObjective {
   /// Eq. 8: Gaussian density centred at the bucketed 3rd version quartile,
@@ -74,15 +64,15 @@ struct FleetSelection {
 
 /// Streams over `candidates` (ids indexing `predicted`) and keeps the top
 /// (select_count + shadow_count) keys under `objective`. O(K log N) time,
-/// O(N + buckets) memory per range. Bit-identical for any `threads` value
-/// (including 1): the range grid is fixed and every reduction merges in
-/// range order. `draw_seed` feeds the per-candidate counter uniforms of
-/// the Gaussian objective (ignored by kTopVersion).
+/// O(N + B) memory per range, with B = 512 fixed histogram buckets.
+/// Bit-identical for any `threads` value (including 1): the range grid is
+/// fixed and every reduction merges in range order. `draw_seed` feeds the
+/// per-candidate counter uniforms of the Gaussian objective (ignored by
+/// kTopVersion).
 FleetSelection select_fleet_cohort(std::span<const double> predicted,
                                    const std::vector<sim::DeviceId>& candidates,
                                    std::size_t select_count,
                                    std::size_t shadow_count,
-                                   std::size_t buckets,
                                    std::uint64_t draw_seed,
                                    FleetObjective objective,
                                    std::size_t threads);

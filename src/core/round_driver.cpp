@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 #include "fl/evaluate.hpp"
 #include "nn/param_utils.hpp"
 
@@ -32,6 +33,12 @@ double relative_delta_norm(const std::vector<float>& x,
   return den > 0.0 ? std::sqrt(num / den) : -1.0;
 }
 
+std::vector<double> capped(const std::vector<double>& values) {
+  return {values.begin(),
+          values.begin() + static_cast<std::ptrdiff_t>(
+                               std::min(values.size(), kExtrasDeviceCap))};
+}
+
 }  // namespace
 
 void check_hadfl_args(const fl::SchemeContext& ctx,
@@ -52,6 +59,16 @@ bool RoundExecutor::ships_deltas(const SyncPlan& plan,
          base >= 0 && std::all_of(ring.begin(), ring.end(), [&](auto id) {
            return ref_epoch(id) == base;
          });
+}
+
+RingPlan RoundExecutor::plan_ring(
+    SelectionPolicy& policy, const std::vector<sim::DeviceId>& candidates,
+    const std::vector<double>& predicted,
+    const std::vector<double>& compute_powers,
+    const std::vector<double>& bandwidth_scales, std::size_t select_count,
+    Rng& rng) {
+  return core::plan_ring(policy, candidates, predicted, compute_powers,
+                         bandwidth_scales, select_count, rng);
 }
 
 RoundDriver::RoundDriver(const fl::SchemeContext& ctx,
@@ -85,7 +102,7 @@ HadflResult RoundDriver::run() {
   const RoundExecutor::Negotiation negotiated = exec_.negotiate(reports_);
   const std::vector<double>& epoch_times = negotiated.epoch_times;
   const std::vector<std::size_t>& ipe = setup_.iters_per_epoch;
-  result_.extras.negotiated_epoch_times = epoch_times;
+  result_.extras.negotiated_epoch_times = capped(epoch_times);
   const TrainingStrategy strategy =
       StrategyGenerator(config_.strategy).generate(epoch_times, ipe);
   result_.extras.strategy = strategy;
@@ -107,6 +124,7 @@ HadflResult RoundDriver::run() {
   }
 
   RuntimeSupervisor supervisor(k_, config_.alpha);
+  supervisor.set_threads(default_compute_threads());
   ModelManager model_manager(config_.backup_dir, config_.backup_every_rounds);
   const DeviceGroups groups = make_groups(ctx_.cluster, config_.grouping);
   const auto inter_period = static_cast<std::size_t>(
@@ -126,6 +144,7 @@ HadflResult RoundDriver::run() {
   record(negotiated.start_state, warmup_loss / static_cast<double>(k_));
 
   std::vector<float> prev_eval;
+  std::vector<double> last_versions;  // kLastValue's full-K observation
   while (epochs_done < static_cast<double>(ctx_.config.total_epochs) &&
          exec_.begin_round()) {
     const std::size_t round = ++round_;
@@ -155,12 +174,12 @@ HadflResult RoundDriver::run() {
     for (std::size_t d = 0; d < k_; ++d) {
       fallback[d] = static_cast<double>(round) * strategy.expected_versions[d];
     }
-    const std::vector<double> predicted =
-        predict_versions(config_.predictor, supervisor, fallback,
-                         result_.extras.actual_versions);
+    const std::vector<double> predicted = predict_versions(
+        config_.predictor, supervisor, fallback, last_versions);
     supervisor.observe_round(reports_.version);
-    result_.extras.actual_versions.push_back(reports_.version);
-    result_.extras.predicted_versions.push_back(predicted);
+    last_versions = reports_.version;
+    result_.extras.actual_versions.push_back(capped(reports_.version));
+    result_.extras.predicted_versions.push_back(capped(predicted));
 
     std::vector<float> eval_state;
     std::vector<sim::DeviceId> selected;
@@ -242,11 +261,11 @@ void RoundDriver::sync_group(const std::vector<sim::DeviceId>& group,
                          GaussianQuartileSelection::probabilities(versions),
                          kSelectionProbSampleCap);
   }
-  RingPlan ring_plan =
-      plan_ring(*policy_, candidates, predicted, setup_.compute_powers,
-                bandwidth_scales_, config_.strategy.select_count, rng_);
-  SyncOutcome sync =
-      exec_.sync(round_, std::move(ring_plan.ring), plan, reports_);
+  SyncOutcome sync = exec_.sync(
+      round_,
+      exec_.plan_ring(*policy_, candidates, predicted, setup_.compute_powers,
+                      bandwidth_scales_, config_.strategy.select_count, rng_),
+      plan, reports_);
   result_.extras.ring_repairs += sync.repairs;
   if (!sync.ok()) return;
   selected.insert(selected.end(), sync.ring.begin(), sync.ring.end());

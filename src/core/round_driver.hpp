@@ -1,8 +1,9 @@
 // The one HADFL coordinator loop (paper Alg. 1, Fig. 2a steps 1-7).
 // RoundDriver takes every per-round decision; a RoundExecutor carries each
-// one out — on virtual clocks (core/trainer.cpp) or on live workers
-// (rt/coordinator.cpp, reused by src/net). core/round_logic.hpp describes
-// the layering and DESIGN.md §7 which decision lives where.
+// one out — on virtual clocks (core/trainer.cpp), on live workers
+// (rt/coordinator.cpp, reused by src/net), or on a 10^6-device fleet of
+// shared slabs (core/fleet.cpp). core/round_logic.hpp describes the
+// layering and DESIGN.md §7 which decision lives where.
 #pragma once
 
 #include <cstdint>
@@ -13,8 +14,14 @@
 
 namespace hadfl::core {
 
-/// Argument checks every HADFL backend shares (the fleet engine included).
+/// Argument checks every HADFL backend shares.
 void check_hadfl_args(const fl::SchemeContext& ctx, const HadflConfig& config);
+
+/// The per-device diagnostic series in HadflExtras (actual and predicted
+/// versions, negotiated epoch times) cover at most this many devices: at
+/// K = 10^6 the full series would dwarf the model memory the fleet engine
+/// saves. Selection and prediction always see all K devices.
+inline constexpr std::size_t kExtrasDeviceCap = 4096;
 
 /// One round's sync knobs: the controller's plan, else the static config.
 struct SyncPlan {
@@ -65,9 +72,18 @@ class RoundExecutor {
   virtual double train(std::size_t round,
                        const std::vector<std::size_t>& budgets,
                        double window, DeviceReports& reports) = 0;
+  /// Selection over one group's candidates and the ring over the picks
+  /// (workflow step 5); core::plan_ring unless the backend samples.
+  virtual RingPlan plan_ring(SelectionPolicy& policy,
+                             const std::vector<sim::DeviceId>& candidates,
+                             const std::vector<double>& predicted,
+                             const std::vector<double>& compute_powers,
+                             const std::vector<double>& bandwidth_scales,
+                             std::size_t select_count, Rng& rng);
   /// Fault-tolerant ring aggregation (§III-D) with its repairs and
-  /// retries; commits the aggregate on the ring members.
-  virtual SyncOutcome sync(std::size_t round, std::vector<sim::DeviceId> ring,
+  /// retries; commits the aggregate on the ring members. An executor whose
+  /// plan_ring fills `ring.train` trains those devices before the fold.
+  virtual SyncOutcome sync(std::size_t round, RingPlan ring,
                            const SyncPlan& plan, DeviceReports& reports) = 0;
   /// Reference epoch of device d's delta reference (< 0 = unknown).
   virtual std::int64_t ref_epoch(sim::DeviceId d) const = 0;

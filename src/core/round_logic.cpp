@@ -79,17 +79,17 @@ std::vector<float> mean_state_of(std::vector<DeviceState>& devices,
   return acc.materialize();
 }
 
-std::vector<double> predict_versions(
-    PredictorMode mode, const RuntimeSupervisor& supervisor,
-    const std::vector<double>& fallback,
-    const std::vector<std::vector<double>>& history) {
+std::vector<double> predict_versions(PredictorMode mode,
+                                     const RuntimeSupervisor& supervisor,
+                                     const std::vector<double>& fallback,
+                                     const std::vector<double>& last) {
   switch (mode) {
     case PredictorMode::kDes:
       return supervisor.predict(fallback);
     case PredictorMode::kStatic:
       return fallback;
     case PredictorMode::kLastValue:
-      return history.empty() ? fallback : history.back();
+      return last.empty() ? fallback : last;
   }
   return fallback;
 }
@@ -107,12 +107,11 @@ RingPlan plan_ring(SelectionPolicy& policy,
     sel_ctx.compute_powers.push_back(compute_powers[id]);
     sel_ctx.bandwidth_scales.push_back(bandwidth_scales[id]);
   }
-  const std::vector<std::size_t> picks = policy.select(sel_ctx, rng);
-  RingPlan plan;
-  plan.selected.reserve(picks.size());
-  for (std::size_t p : picks) plan.selected.push_back(candidates[p]);
-  plan.ring = StrategyGenerator::make_ring(plan.selected, rng);
-  return plan;
+  std::vector<sim::DeviceId> selected;
+  for (std::size_t p : policy.select(sel_ctx, rng)) {
+    selected.push_back(candidates[p]);
+  }
+  return {StrategyGenerator::make_ring(selected, rng), {}};
 }
 
 std::vector<double> ring_weights(const data::Partition& partition,

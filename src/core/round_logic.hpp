@@ -11,10 +11,9 @@
 //    Alg. 1 loop (strategy, controller plan, prediction, selection, the
 //    broadcast source, leaders, convergence, model manager);
 //  * the executors — *how* a decision is carried out: virtual clocks and
-//    comm::SimTransport (core/trainer.cpp), or commands to worker threads
-//    and node processes (rt/coordinator.cpp).
-// The fleet engine (core/fleet.cpp) keeps its own loop for its O(K) paths
-// and calls these helpers directly (tests/test_fleet.cpp pins it).
+//    comm::SimTransport (core/trainer.cpp), commands to worker threads
+//    and node processes (rt/coordinator.cpp), or O(K) range-grid sweeps
+//    over copy-on-write slabs (core/fleet.cpp).
 #pragma once
 
 #include <memory>
@@ -90,18 +89,22 @@ std::vector<float> mean_state_of(std::vector<DeviceState>& devices,
 
 /// The coordinator's version forecast for the coming selection (workflow
 /// step 4). `fallback` is the Eq. 6 static expectation for the round;
-/// `history` is the per-round actual-version record (kLastValue mode).
-std::vector<double> predict_versions(
-    PredictorMode mode, const RuntimeSupervisor& supervisor,
-    const std::vector<double>& fallback,
-    const std::vector<std::vector<double>>& history);
+/// `last` is the previous round's observed versions (kLastValue mode;
+/// empty before the first round).
+std::vector<double> predict_versions(PredictorMode mode,
+                                     const RuntimeSupervisor& supervisor,
+                                     const std::vector<double>& fallback,
+                                     const std::vector<double>& last);
 
 /// Probability-based selection (Eq. 8 via the policy) plus the random
 /// directed ring over the picks. Draws from `rng` exactly as the simulator
 /// backend always has: one policy->select call, then make_ring.
 struct RingPlan {
-  std::vector<sim::DeviceId> selected;  ///< policy picks (candidate order)
-  std::vector<sim::DeviceId> ring;      ///< directed ring over the picks
+  std::vector<sim::DeviceId> ring;   ///< directed ring over the picks
+  /// Devices that train right before the fold, because train() left them
+  /// untrained (the fleet engine's sampled cohort). Empty for every other
+  /// plan.
+  std::vector<sim::DeviceId> train;
 };
 RingPlan plan_ring(SelectionPolicy& policy,
                    const std::vector<sim::DeviceId>& candidates,

@@ -127,11 +127,12 @@ class SimExecutor final : public RoundExecutor {
     return executed_total;
   }
 
-  SyncOutcome sync(std::size_t, std::vector<sim::DeviceId> ring,
-                   const SyncPlan& plan, DeviceReports& reports) override {
+  SyncOutcome sync(std::size_t, RingPlan planned, const SyncPlan& plan,
+                   DeviceReports& reports) override {
     // A device can die *between* the repair scan and the collective (its
     // fault window opens mid-sync); the CommError then triggers another
     // repair pass, exactly like the timeout would in a real deployment.
+    std::vector<sim::DeviceId> ring = std::move(planned.ring);
     SyncOutcome out;
     for (int attempt = 0; attempt < 4 && !ring.empty(); ++attempt) {
       const comm::RingRepairResult repair =

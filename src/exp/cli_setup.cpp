@@ -120,8 +120,8 @@ std::string adaptive_flag_error(const ArgParser& args) {
     return "";
   }
   if (args.has("fleet")) {
-    return "--adaptive does not apply to --fleet (the fleet engine owns "
-           "its own pacing)";
+    return "--adaptive does not apply to --fleet (the fleet engine cannot "
+           "carry out the controller's codec plans)";
   }
   if (args.get("scheme", "hadfl") != "hadfl") {
     return "--adaptive only applies to --scheme=hadfl";

@@ -101,10 +101,11 @@ std::string backend_flag_error(const std::string& scheme,
 std::string fleet_flag_error(const ArgParser& args);
 
 /// Validates the --adaptive flag family: every --adaptive-* flag requires
-/// --adaptive, --adaptive excludes --fleet (the fleet engine owns its own
-/// pacing) and non-hadfl schemes, --adaptive-alpha must lie in (0, 1],
-/// --adaptive-warmup must be non-negative, and --adaptive-tune only knows
-/// the knobs budgets/chunks/codec. Returns the empty string when valid,
+/// --adaptive, --adaptive excludes --fleet (the fleet engine cannot carry
+/// out the controller's codec plans) and non-hadfl schemes,
+/// --adaptive-alpha must lie in (0, 1], --adaptive-warmup must be
+/// non-negative, and --adaptive-tune only knows the knobs
+/// budgets/chunks/codec. Returns the empty string when valid,
 /// else the one-line diagnostic hadfl_run prints to stderr before exiting
 /// with status 2 (the fleet_flag_error pattern).
 std::string adaptive_flag_error(const ArgParser& args);

@@ -472,72 +472,4 @@ std::vector<std::vector<float>> ring_allgather(
   return contributions;
 }
 
-void ring_allreduce_average(Transport& transport,
-                            const std::vector<DeviceId>& ring,
-                            std::size_t my_index, std::span<float> data,
-                            std::int64_t collective_id,
-                            double step_timeout_s) {
-  const std::size_t k = ring.size();
-  HADFL_CHECK_ARG(k > 0, "ring_allreduce on empty ring");
-  HADFL_CHECK_ARG(my_index < k, "my_index out of range");
-  if (k == 1) return;
-
-  const DeviceId self = ring[my_index];
-  const DeviceId next = ring[(my_index + 1) % k];
-  const DeviceId prev = ring[(my_index + k - 1) % k];
-  const std::size_t n = data.size();
-
-  BufferPool& pool = transport.pool();
-  auto exchange = [&](std::size_t step, std::size_t send_chunk,
-                      std::size_t recv_chunk, bool accumulate) {
-    const auto [sb, se] = chunk_range(n, k, send_chunk);
-    Message msg;
-    msg.tag = make_tag(MsgKind::kData, collective_id,
-                       static_cast<std::int64_t>(step));
-    msg.payload = pool.acquire(se - sb);
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(sb),
-              data.begin() + static_cast<std::ptrdiff_t>(se),
-              msg.payload.begin());
-    std::shared_ptr<PendingSend> pending =
-        transport.isend(self, next, std::move(msg));
-    Message incoming = transport.recv_match(
-        self, prev,
-        make_tag(MsgKind::kData, collective_id,
-                 static_cast<std::int64_t>(step)),
-        step_timeout_s);
-    const auto [rb, re] = chunk_range(n, k, recv_chunk);
-    HADFL_CHECK(incoming.payload.size() == re - rb);
-    if (accumulate) {
-      for (std::size_t i = rb; i < re; ++i) {
-        data[i] += incoming.payload[i - rb];
-      }
-    } else {
-      std::copy(incoming.payload.begin(), incoming.payload.end(),
-                data.begin() + static_cast<std::ptrdiff_t>(rb));
-    }
-    pool.release(std::move(incoming.payload));
-    pending->wait(step_timeout_s, self, next);
-  };
-
-  // Reduce-scatter: after K-1 steps, member i owns the fully reduced chunk
-  // (i + 1) % k.
-  for (std::size_t step = 0; step + 1 < k; ++step) {
-    const std::size_t send_chunk = (my_index + k - step) % k;
-    const std::size_t recv_chunk = (my_index + k - step - 1) % k;
-    exchange(step, send_chunk, recv_chunk, /*accumulate=*/true);
-  }
-  // Average the owned chunk before circulating results.
-  {
-    const auto [b, e] = chunk_range(n, k, (my_index + 1) % k);
-    const float inv = 1.0f / static_cast<float>(k);
-    for (std::size_t i = b; i < e; ++i) data[i] *= inv;
-  }
-  // All-gather the reduced chunks.
-  for (std::size_t step = 0; step + 1 < k; ++step) {
-    const std::size_t send_chunk = (my_index + 1 + k - step) % k;
-    const std::size_t recv_chunk = (my_index + k - step) % k;
-    exchange(k - 1 + step, send_chunk, recv_chunk, /*accumulate=*/false);
-  }
-}
-
 }  // namespace hadfl::rt

@@ -18,8 +18,6 @@
 //  * `ring_allgather` — K-1 steps circulating full states; the monolithic
 //    predecessor, kept for the chunked-vs-monolithic benchmarks and for
 //    callers that need the individual contributions.
-//  * `ring_allreduce_average` — the classic unweighted reduce-scatter +
-//    all-gather; used by the throughput benchmarks.
 //
 // Each rendezvous step posts the outgoing chunk (isend), receives the
 // incoming chunk, then waits for the outgoing acks at the end — the
@@ -180,13 +178,5 @@ std::vector<std::vector<float>> ring_allgather(
     std::size_t my_index, std::span<const float> local,
     std::int64_t collective_id, std::size_t wire_bytes,
     double step_timeout_s, const BeatFn& beat = {});
-
-/// Averages `data` elementwise across the ring members in place via
-/// reduce-scatter + all-gather. All members must pass equal-sized spans.
-void ring_allreduce_average(Transport& transport,
-                            const std::vector<DeviceId>& ring,
-                            std::size_t my_index, std::span<float> data,
-                            std::int64_t collective_id,
-                            double step_timeout_s);
 
 }  // namespace hadfl::rt

@@ -168,9 +168,10 @@ class RtExecutor final : public core::RoundExecutor {
     return executed_total;
   }
 
-  core::SyncOutcome sync(std::size_t round, std::vector<DeviceId> ring,
+  core::SyncOutcome sync(std::size_t round, core::RingPlan planned,
                          const core::SyncPlan& plan,
                          core::DeviceReports& reports) override {
+    std::vector<DeviceId> ring = std::move(planned.ring);
     const CoordinatorTelemetry& tel = env_.telemetry;
     core::SyncOutcome out;
     for (int attempt = 0; attempt < kMaxSyncAttempts && !ring.empty();

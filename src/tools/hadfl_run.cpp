@@ -49,7 +49,8 @@
 //                           overrides the warm-up strategy      [2]
 //   --adaptive-tune=<list>  adaptive: comma subset of budgets,chunks,codec
 //                           to tune                             [all three]
-//   --drift=<specs>         sim/rt/net: inject speed drift; comma-separated
+//   --drift=<specs>         inject speed drift (sim/rt/net and --fleet);
+//                           comma-separated
 //                           DEV:ROUND:FACTOR[:step|ramp:R|square:P:D]
 //                           (step = permanent slowdown, ramp = thermal
 //                           throttle over R rounds, square = background
@@ -181,6 +182,10 @@ int run_fleet(const ArgParser& args, const std::string& csv,
   fw.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   fw.churn.fraction = args.get_double("fleet-churn", 0.0);
   exp::FleetWorld world(fw);
+  for (const sim::DriftEvent& event :
+       exp::parse_drift(args.get("drift", ""), fw.devices)) {
+    world.cluster().faults().schedule_drift(event);
+  }
 
   exp::Scenario& s = world.scenario();
   s.hadfl.strategy.select_count =
@@ -331,10 +336,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (args.has("fleet")) {
-      if (args.has("drift")) {
-        std::cerr << "--drift does not apply to --fleet\n";
-        return 2;
-      }
       if (scheme != "hadfl" || backend != "sim") {
         std::cerr << "--fleet requires --scheme=hadfl --backend=sim\n";
         return 2;

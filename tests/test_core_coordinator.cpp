@@ -49,7 +49,7 @@ TEST(RuntimeSupervisor, PredictsPerDevice) {
 TEST(RuntimeSupervisor, RoundZeroFallsBackInEveryPredictorMode) {
   RuntimeSupervisor sup(2, 0.5);
   const std::vector<double> fallback{7.0, 9.0};
-  const std::vector<std::vector<double>> no_history;
+  const std::vector<double> no_history;
   EXPECT_EQ(predict_versions(PredictorMode::kDes, sup, fallback, no_history),
             fallback);
   EXPECT_EQ(predict_versions(PredictorMode::kLastValue, sup, fallback,
@@ -60,10 +60,10 @@ TEST(RuntimeSupervisor, RoundZeroFallsBackInEveryPredictorMode) {
       fallback);
   // After one round both adaptive modes leave the fallback behind.
   sup.observe_round({1.0, 2.0});
-  const std::vector<std::vector<double>> history{{1.0, 2.0}};
+  const std::vector<double> history{1.0, 2.0};
   EXPECT_EQ(
       predict_versions(PredictorMode::kLastValue, sup, fallback, history),
-      history.back());
+      history);
   EXPECT_NE(predict_versions(PredictorMode::kDes, sup, fallback, history),
             fallback);
 }

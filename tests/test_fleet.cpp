@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/fleet.hpp"
+#include "core/round_driver.hpp"
 #include "core/trainer.hpp"
 #include "exp/fleet_world.hpp"
 #include "nn/cow_store.hpp"
@@ -122,14 +125,20 @@ exp::FleetWorldConfig small_world(std::size_t devices) {
   return fw;
 }
 
-/// Runs both engines on freshly built copies of the same world and expects
-/// identical final bits, virtual time, wire volume, and round count.
-void expect_bit_identical(const exp::FleetWorldConfig& fw) {
+/// Runs both engines on freshly built copies of the same world (each
+/// adjusted by `setup`) and expects the identical run: final bits, virtual
+/// time, wire volume, round count, every convergence point, and the
+/// per-round selected and actual-version series.
+void expect_bit_identical(
+    const exp::FleetWorldConfig& fw,
+    const std::function<void(exp::FleetWorld&)>& setup = {}) {
   exp::FleetWorld ref_world(fw);
+  if (setup) setup(ref_world);
   const core::HadflResult want =
       core::run_hadfl(ref_world.context(), ref_world.scenario().hadfl);
 
   exp::FleetWorld fleet_world(fw);
+  if (setup) setup(fleet_world);
   const core::FleetResult got = core::run_hadfl_fleet(
       fleet_world.context(), fleet_world.scenario().hadfl,
       core::FleetConfig{});
@@ -144,6 +153,20 @@ void expect_bit_identical(const exp::FleetWorldConfig& fw) {
   EXPECT_EQ(want.scheme.volume.total_received(),
             got.scheme.volume.total_received());
   EXPECT_EQ(want.extras.ring_repairs, got.stats.ring_repairs);
+
+  const auto& want_points = want.scheme.metrics.points();
+  const auto& got_points = got.scheme.metrics.points();
+  ASSERT_EQ(want_points.size(), got_points.size());
+  for (std::size_t i = 0; i < want_points.size(); ++i) {
+    SCOPED_TRACE("convergence point " + std::to_string(i));
+    EXPECT_EQ(want_points[i].epoch, got_points[i].epoch);
+    EXPECT_EQ(want_points[i].time, got_points[i].time);
+    EXPECT_EQ(want_points[i].train_loss, got_points[i].train_loss);
+    EXPECT_EQ(want_points[i].test_loss, got_points[i].test_loss);
+    EXPECT_EQ(want_points[i].test_accuracy, got_points[i].test_accuracy);
+  }
+  EXPECT_EQ(want.extras.selected, got.extras.selected);
+  EXPECT_EQ(want.extras.actual_versions, got.extras.actual_versions);
 }
 
 TEST(FleetEngine, ExactModeBitIdenticalAtK8) {
@@ -166,26 +189,22 @@ TEST(FleetEngine, ExactModeBitIdenticalWithChurn) {
 }
 
 TEST(FleetEngine, ExactModeBitIdenticalGrouped) {
-  exp::FleetWorldConfig fw = small_world(8);
+  expect_bit_identical(small_world(8), [](exp::FleetWorld& world) {
+    world.scenario().hadfl.grouping.group_size = 4;
+    world.scenario().hadfl.grouping.inter_group_period = 2;
+  });
+}
 
-  exp::FleetWorld ref_world(fw);
-  ref_world.scenario().hadfl.grouping.group_size = 4;
-  ref_world.scenario().hadfl.grouping.inter_group_period = 2;
-  const core::HadflResult want =
-      core::run_hadfl(ref_world.context(), ref_world.scenario().hadfl);
-
-  exp::FleetWorld fleet_world(fw);
-  fleet_world.scenario().hadfl.grouping.group_size = 4;
-  fleet_world.scenario().hadfl.grouping.inter_group_period = 2;
-  const core::FleetResult got = core::run_hadfl_fleet(
-      fleet_world.context(), fleet_world.scenario().hadfl,
-      core::FleetConfig{});
-
-  ASSERT_EQ(want.scheme.final_state.size(), got.scheme.final_state.size());
-  EXPECT_EQ(0, std::memcmp(want.scheme.final_state.data(),
-                           got.scheme.final_state.data(),
-                           want.scheme.final_state.size() * sizeof(float)));
-  EXPECT_EQ(want.scheme.total_time, got.scheme.total_time);
+TEST(FleetEngine, ExactModeBitIdenticalWithDrift) {
+  // A permanent 4x slowdown on device 1 from round 2 and a square-wave
+  // load on device 6: both shrink step budgets, so the drift must reach
+  // the fleet walk exactly as it reaches the sim executor.
+  expect_bit_identical(small_world(8), [](exp::FleetWorld& world) {
+    world.cluster().faults().schedule_drift(
+        sim::DriftEvent{1, 2, 4.0, sim::DriftKind::kStep});
+    world.cluster().faults().schedule_drift(
+        sim::DriftEvent{6, 1, 3.0, sim::DriftKind::kSquare, 1, 2, 1});
+  });
 }
 
 TEST(FleetEngine, CohortModeTrainsOnlyTheCohort) {
@@ -214,21 +233,26 @@ TEST(FleetEngine, CohortModeTrainsOnlyTheCohort) {
   }
 }
 
-TEST(FleetEngine, ExtrasSeriesCappedToConfiguredDevices) {
-  exp::FleetWorldConfig fw = small_world(8);
+TEST(FleetEngine, ExtrasSeriesCappedAtDeviceCap) {
+  // Per-device series stop at the driver's cap once K exceeds it.
+  exp::FleetWorldConfig fw;
+  fw.devices = core::kExtrasDeviceCap + 904;
+  fw.epochs = 64;
   exp::FleetWorld world(fw);
   core::FleetConfig fleet;
-  fleet.extras_device_cap = 3;
+  fleet.cohort = 8;
+  fleet.max_rounds = 2;
   const core::FleetResult r = core::run_hadfl_fleet(
       world.context(), world.scenario().hadfl, fleet);
-  ASSERT_FALSE(r.extras.actual_versions.empty());
+  ASSERT_EQ(r.extras.actual_versions.size(), 2u);
   for (const auto& round : r.extras.actual_versions) {
-    EXPECT_EQ(round.size(), 3u);
+    EXPECT_EQ(round.size(), core::kExtrasDeviceCap);
   }
+  ASSERT_EQ(r.extras.predicted_versions.size(), 2u);
   for (const auto& round : r.extras.predicted_versions) {
-    EXPECT_EQ(round.size(), 3u);
+    EXPECT_EQ(round.size(), core::kExtrasDeviceCap);
   }
-  EXPECT_EQ(r.extras.negotiated_epoch_times.size(), 3u);
+  EXPECT_EQ(r.extras.negotiated_epoch_times.size(), core::kExtrasDeviceCap);
 }
 
 TEST(FleetEngine, RejectsUnsupportedConfigs) {
@@ -257,6 +281,14 @@ TEST(FleetEngine, RejectsUnsupportedConfigs) {
     exp::FleetWorld world(fw);
     world.scenario().hadfl.compression =
         comm::SyncCodec::kTopK;  // needs per-device residuals
+    EXPECT_THROW(core::run_hadfl_fleet(world.context(),
+                                       world.scenario().hadfl,
+                                       core::FleetConfig{}),
+                 Error);
+  }
+  {
+    exp::FleetWorld world(fw);
+    world.scenario().hadfl.adaptive.enabled = true;  // plans codecs too
     EXPECT_THROW(core::run_hadfl_fleet(world.context(),
                                        world.scenario().hadfl,
                                        core::FleetConfig{}),

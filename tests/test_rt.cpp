@@ -323,35 +323,6 @@ TEST(RtCollectives, AllGatherReturnsContributionsInRingOrder) {
   }
 }
 
-TEST(RtCollectives, AllReduceAverageMatchesMean) {
-  const std::vector<DeviceId> ring{0, 1, 2};
-  InprocTransport t(3, fast_net());
-  // 7 elements: exercises uneven chunk boundaries.
-  std::vector<std::vector<float>> data(3, std::vector<float>(7));
-  for (std::size_t d = 0; d < 3; ++d) {
-    for (std::size_t j = 0; j < 7; ++j) {
-      data[d][j] = static_cast<float>(d * 10 + j);
-    }
-  }
-  std::vector<float> expected(7);
-  for (std::size_t j = 0; j < 7; ++j) {
-    expected[j] = (data[0][j] + data[1][j] + data[2][j]) / 3.0f;
-  }
-  std::vector<std::thread> members;
-  for (std::size_t i = 0; i < 3; ++i) {
-    members.emplace_back([&, i] {
-      ring_allreduce_average(t, ring, i, data[i], /*collective_id=*/2, 5.0);
-    });
-  }
-  for (auto& th : members) th.join();
-  for (std::size_t d = 0; d < 3; ++d) {
-    for (std::size_t j = 0; j < 7; ++j) {
-      EXPECT_NEAR(data[d][j], expected[j], 1e-4) << "dev " << d << " elem "
-                                                 << j;
-    }
-  }
-}
-
 TEST(RtCollectives, DeadNeighbourFailsTheStep) {
   const std::vector<DeviceId> ring{0, 1};
   InprocTransport t(2, fast_net());
